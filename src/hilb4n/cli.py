@@ -70,6 +70,8 @@ def _emit(args, payload: dict, text_lines: List[str]):
 
 
 def _cmd_hf(args) -> int:
+    if args.upto < 0:
+        raise CliError(f"--upto must be non-negative, got {args.upto}", USAGE_ERROR)
     I = _read_ideal(args.ideal)
     values = [hilbert_function(I, n) for n in range(args.upto + 1)]
     _emit(args, {"values": values}, [" ".join(str(v) for v in values)])
@@ -123,6 +125,8 @@ def _cmd_sat(args) -> int:
             f = parse_polynomial(args.by)
         except ParseError as exc:
             raise CliError(str(exc), USAGE_ERROR)
+        if not f or not f.is_homogeneous():
+            raise CliError(f"--by needs a nonzero homogeneous form, got {args.by!r}", USAGE_ERROR)
         result = saturate(I, f)
     else:
         result = saturate_irrelevant(I)
@@ -286,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-        p.add_argument(
-            "--order", default="degrevlex", choices=("degrevlex", "lex"), help="monomial order"
-        )
         return p
 
     p = add("hf", _cmd_hf, "Hilbert function values of an ideal")
@@ -304,6 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gb", _cmd_gb, "reduced Groebner basis")
     p.add_argument("--ideal", required=True)
+    p.add_argument(
+        "--order", default="degrevlex", choices=("degrevlex", "lex"), help="monomial order"
+    )
 
     p = add("gin", _cmd_gin, "generic initial ideal")
     p.add_argument("--ideal", required=True)

@@ -50,7 +50,6 @@ from .strata import (
 
 PARAM = NVARS  # index of the parameter variable in the extended ring
 FAMILY_NVARS = NVARS + 1
-_LIMIT_STEP_CAP = 20000
 
 
 class FamilyError(ValueError):

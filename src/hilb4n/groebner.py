@@ -12,9 +12,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .linalg import rref
 from .orders import DEGREVLEX, Exponent, MonomialOrder
 from .poly import (
     Polynomial,
+    linear_form,
     monomial_div,
     monomial_divides,
     monomial_gcd,
@@ -28,21 +30,6 @@ IntPoly = Dict[Exponent, int]
 # ---------------------------------------------------------------------------
 # integer polynomial helpers
 
-def _to_int_poly(p: Polynomial) -> Tuple[IntPoly, Fraction]:
-    """Primitive integer form: returns (q, s) with p = s * q and content(q)=1."""
-    if not p.terms:
-        return {}, Fraction(1)
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = {e: int(c * den) for e, c in p.terms.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    ints = {e: v // g for e, v in ints.items()}
-    return ints, Fraction(g, den)
-
-
 def _content(p: IntPoly) -> int:
     g = 0
     for v in p.values():
@@ -52,11 +39,20 @@ def _content(p: IntPoly) -> int:
     return g
 
 
-def _make_primitive(p: IntPoly) -> IntPoly:
-    g = _content(p)
-    if g > 1:
-        return {e: v // g for e, v in p.items()}
-    return dict(p)
+def _to_int_poly(p: Polynomial) -> Tuple[IntPoly, Fraction]:
+    """Primitive integer form: returns (q, s) with p = s * q and content(q)=1."""
+    if not p.terms:
+        return {}, Fraction(1)
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = {e: int(c * den) for e, c in p.terms.items()}
+    g = _content(ints)
+    return {e: v // g for e, v in ints.items()}, Fraction(g, den)
+
+
+def _as_poly(p: IntPoly, nvars: int, factor: Fraction = Fraction(1)) -> Polynomial:
+    return Polynomial({e: factor * c for e, c in p.items()}, nvars)
 
 
 class _Basis:
@@ -136,15 +132,19 @@ def normal_form_poly(
         return f
     basis = [_Basis(_to_int_poly(g)[0], order) for g in basis_polys if g]
     r, mult = _normal_form_int(fi, basis, order)
-    factor = scale / mult
-    return Polynomial({e: factor * c for e, c in r.items()}, f.nvars)
+    return _as_poly(r, f.nvars, scale / mult)
+
+
+def _spair_multipliers(f: _Basis, g: _Basis) -> Tuple[Exponent, int, Exponent, int]:
+    """(sf, a, sg, b) with S(f, g) = a x^sf f - b x^sg g, the leading terms
+    cancelling."""
+    lcm = monomial_lcm(f.lm, g.lm)
+    gg = gcd(f.lc, g.lc)
+    return monomial_div(lcm, f.lm), g.lc // gg, monomial_div(lcm, g.lm), f.lc // gg
 
 
 def _spair(f: _Basis, g: _Basis) -> IntPoly:
-    lcm = monomial_lcm(f.lm, g.lm)
-    sf, sg = monomial_div(lcm, f.lm), monomial_div(lcm, g.lm)
-    gg = gcd(f.lc, g.lc)
-    a, b = g.lc // gg, f.lc // gg
+    sf, a, sg, b = _spair_multipliers(f, g)
     out: IntPoly = {}
     for e, c in f.poly.items():
         out[monomial_mul(e, sf)] = a * c
@@ -158,24 +158,70 @@ def _spair(f: _Basis, g: _Basis) -> IntPoly:
     return out
 
 
-def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = DEGREVLEX,
-    max_degree: Optional[int] = None,
-) -> List[Polynomial]:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+def _reduce_spair(
+    basis: Sequence[_Basis], i: int, j: int, order: MonomialOrder, nvars: int, traced: bool
+) -> Tuple[IntPoly, Optional[List[Polynomial]]]:
+    """Fully reduce S(basis[i], basis[j]).  Returns (r, row); when ``traced``,
+    ``row`` holds one coefficient per basis element with
+    r = sum(row[k] * basis[k]), so a vanishing r makes ``row`` a syzygy."""
+    s = _spair(basis[i], basis[j])
+    trace = [dict() for _ in basis] if traced else None
+    r, mult = _normal_form_int(s, basis, order, trace)
+    if not traced:
+        return r, None
+    # mult * S = r + sum(q_k * basis_k), with S = a x^sf basis_i - b x^sg basis_j
+    sf, a, sg, b = _spair_multipliers(basis[i], basis[j])
+    row = _negated(trace, nvars)
+    row[i] = row[i] + Polynomial({sf: Fraction(a * mult)}, nvars)
+    row[j] = row[j] + Polynomial({sg: Fraction(-b * mult)}, nvars)
+    return r, row
 
-    ``max_degree`` truncates the pair queue (valid for homogeneous input when
-    only graded pieces up to that degree are consumed downstream).
+
+def _negated(trace: Sequence[IntPoly], nvars: int) -> List[Polynomial]:
+    return [_as_poly(q, nvars, Fraction(-1)) for q in trace]
+
+
+def _combine(
+    rows: Sequence[List[Polynomial]], coeffs: Sequence[Polynomial], nvars: int
+) -> List[Polynomial]:
+    """sum(coeffs[k] * rows[k]) for representation rows of equal length."""
+    out = [Polynomial.zero(nvars)] * len(rows[0])
+    for row, c in zip(rows, coeffs):
+        if not c:
+            continue
+        for k, entry in enumerate(row):
+            if entry:
+                out[k] = out[k] + entry * c
+    return out
+
+
+def _groebner(
+    gens: Sequence[Polynomial],
+    order: MonomialOrder,
+    max_degree: Optional[int],
+    track: bool,
+) -> List[Tuple[Polynomial, Optional[List[Polynomial]]]]:
+    """The Buchberger loop behind both public entry points.
+
+    Pairs are taken by the normal strategy (least lcm degree, then least lcm)
+    and skipped by both classical criteria.  With ``track``, a representation
+    over ``gens`` rides along with every basis element: reps[k] is a row with
+    basis_k = sum(reps[k][i] * gens[i]).  Returns the reduced basis, each
+    element paired with its representation (None without ``track``).
     """
     nvars = gens[0].nvars if gens else 0
+    zero = Polynomial.zero(nvars)
     basis: List[_Basis] = []
-    for g in gens:
-        gi, _ = _to_int_poly(g)
-        if gi:
-            basis.append(_Basis(_make_primitive(gi), order))
-    if not basis:
-        return []
+    reps: Optional[List[List[Polynomial]]] = [] if track else None
+    for i, g in enumerate(gens):
+        gi, scale = _to_int_poly(g)
+        if not gi:
+            continue
+        basis.append(_Basis(gi, order))
+        if track:
+            row = [zero] * len(gens)
+            row[i] = Polynomial.constant(1 / scale, nvars)
+            reps.append(row)
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
@@ -192,47 +238,83 @@ def buchberger(
         if not any(monomial_gcd(basis[i].lm, basis[j].lm)):
             continue
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(basis[k].lm, lcm):
-                if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spair(basis[i], basis[j])
-        r, _ = _normal_form_int(s, basis, order)
-        if r:
-            basis.append(_Basis(_make_primitive(r), order))
-            new = len(basis) - 1
-            for k in range(new):
-                pairs.add((k, new))
-    return _reduce_basis(basis, order, nvars)
-
-
-def _reduce_basis(basis: List[_Basis], order: MonomialOrder, nvars: int) -> List[Polynomial]:
-    # minimal generators: drop elements whose lm is divisible by another lm
-    kept: List[_Basis] = []
-    lms = [b.lm for b in basis]
-    for i, b in enumerate(basis):
         if any(
-            monomial_divides(lms[k], b.lm) and (lms[k] != b.lm or k < i)
+            k not in (i, j)
+            and monomial_divides(basis[k].lm, lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
             for k in range(len(basis))
-            if k != i
         ):
             continue
-        kept.append(b)
+        r, row = _reduce_spair(basis, i, j, order, nvars, track)
+        if not r:
+            continue
+        content = _content(r)
+        basis.append(_Basis({e: c // content for e, c in r.items()}, order))
+        if track:
+            reps.append([p.scale(Fraction(1, content)) for p in _combine(reps, row, nvars)])
+        new = len(basis) - 1
+        for k in range(new):
+            pairs.add((k, new))
+    return _reduce_basis(basis, order, nvars, reps)
+
+
+def _reduce_basis(
+    basis: List[_Basis],
+    order: MonomialOrder,
+    nvars: int,
+    reps: Optional[List[List[Polynomial]]],
+) -> List[Tuple[Polynomial, Optional[List[Polynomial]]]]:
+    # minimal generators: drop elements whose lm is divisible by another lm
+    lms = [b.lm for b in basis]
+    keep = [
+        i
+        for i, lm in enumerate(lms)
+        if not any(
+            k != i and monomial_divides(lms[k], lm) and (lms[k] != lm or k < i)
+            for k in range(len(basis))
+        )
+    ]
     # tail-reduce each against the others, make monic
-    out: List[Polynomial] = []
-    for i, b in enumerate(kept):
-        others = [kept[k] for k in range(len(kept)) if k != i]
-        r, _ = _normal_form_int(b.poly, others, order)
+    out = []
+    for i in keep:
+        others = [k for k in keep if k != i]
+        trace = [dict() for _ in others] if reps is not None else None
+        r, mult = _normal_form_int(basis[i].poly, [basis[k] for k in others], order, trace)
         lc = r[max(r, key=order.key)]
-        out.append(Polynomial({e: Fraction(c, lc) for e, c in r.items()}, nvars))
-    out.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
+        rep = None
+        if reps is not None:
+            # r = mult * basis_i - sum(q_k * basis_k)
+            coeffs = [Polynomial.constant(mult, nvars)] + _negated(trace, nvars)
+            rep = _combine([reps[i]] + [reps[k] for k in others], coeffs, nvars)
+            rep = [p.scale(Fraction(1, lc)) for p in rep]
+        out.append((_as_poly(r, nvars, Fraction(1, lc)), rep))
+    out.sort(key=lambda pr: order.key(pr[0].leading_monomial(order)), reverse=True)
     return out
+
+
+def buchberger(
+    gens: Sequence[Polynomial],
+    order: MonomialOrder = DEGREVLEX,
+    max_degree: Optional[int] = None,
+) -> List[Polynomial]:
+    """Reduced Groebner basis of the ideal generated by ``gens``.
+
+    ``max_degree`` truncates the pair queue (valid for homogeneous input when
+    only graded pieces up to that degree are consumed downstream).
+    """
+    return [g for g, _ in _groebner(gens, order, max_degree, track=False)]
+
+
+def buchberger_with_reps(
+    gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
+) -> Tuple[List[Polynomial], List[List[Polynomial]]]:
+    """Reduced Groebner basis together with representations over ``gens``.
+
+    Returns (gb, reps) with gb[k] = sum_i reps[k][i] * gens[i], exactly.
+    """
+    out = _groebner(gens, order, None, track=True)
+    return [g for g, _ in out], [rep for _, rep in out]
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +328,16 @@ def gb_syzygies(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> L
     vectors generate all syzygies of ``gb``.
     """
     nvars = gb[0].nvars if gb else 0
-    basis = [_Basis(_to_int_poly(g)[0], order) for g in gb]
-    scales = [_to_int_poly(g)[1] for g in gb]
+    data = [_to_int_poly(g) for g in gb]
+    basis = [_Basis(q, order) for q, _ in data]
     syz: List[List[Polynomial]] = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            f, g = basis[i], basis[j]
-            lcm = monomial_lcm(f.lm, g.lm)
-            sf, sg = monomial_div(lcm, f.lm), monomial_div(lcm, g.lm)
-            cg = gcd(f.lc, g.lc)
-            a, b = g.lc // cg, f.lc // cg
-            s = _spair(f, g)
-            trace: List[IntPoly] = [dict() for _ in basis]
-            r, mult = _normal_form_int(s, basis, order, trace=trace)
+            r, row = _reduce_spair(basis, i, j, order, nvars, traced=True)
             if r:
                 raise ArithmeticError("input was not a Groebner basis: S-pair did not vanish")
-            # mult * (a x^sf g_i - b x^sg g_j) = sum_k q_k g_k
-            row = [Polynomial.zero(nvars) for _ in basis]
-            row[i] = Polynomial({sf: Fraction(a * mult)}, nvars)
-            row[j] = Polynomial({sg: Fraction(-b * mult)}, nvars)
-            for k, q in enumerate(trace):
-                if q:
-                    row[k] = row[k] - Polynomial({e: Fraction(c) for e, c in q.items()}, nvars)
             # rescale to act on the exact (monic) basis elements
-            row = [p.scale(1 / scales[k]) if p else p for k, p in enumerate(row)]
+            row = [p.scale(1 / data[k][1]) if p else p for k, p in enumerate(row)]
             if any(row):
                 syz.append(row)
     return syz
@@ -287,169 +355,32 @@ def division_quotients(
     trace: List[IntPoly] = [dict() for _ in basis]
     r, mult = _normal_form_int(fi, basis, order, trace=trace)
     factor = scale / mult
-    remainder = Polynomial({e: factor * c for e, c in r.items()}, f.nvars)
-    quots = [
-        Polynomial({e: factor * c / data[k][1] for e, c in q.items()}, f.nvars)
-        for k, q in enumerate(trace)
-    ]
+    remainder = _as_poly(r, f.nvars, factor)
+    quots = [_as_poly(q, f.nvars, factor / data[k][1]) for k, q in enumerate(trace)]
     return remainder, quots
 
 
-def buchberger_with_reps(
-    gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
-) -> Tuple[List[Polynomial], List[List[Polynomial]]]:
-    """Reduced Groebner basis together with representations over ``gens``.
-
-    Returns (gb, reps) with gb[k] = sum_i reps[k][i] * gens[i], exactly.
-    """
-    nvars = gens[0].nvars
-    ngens = len(gens)
-    zero = Polynomial.zero(nvars)
-
-    basis: List[_Basis] = []
-    reps: List[List[Polynomial]] = []
-    for i, g in enumerate(gens):
-        gi, scale = _to_int_poly(g)
-        if not gi:
-            continue
-        basis.append(_Basis(gi, order))
-        row = [zero] * ngens
-        row[i] = Polynomial.constant(1 / scale, nvars)
-        reps.append(row)
-
-    def combine(rows, coeffs):
-        out = [zero] * ngens
-        for row, c in zip(rows, coeffs):
-            if not c:
-                continue
-            for k in range(ngens):
-                if row[k]:
-                    out[k] = out[k] + row[k] * c
-        return out
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                sum(monomial_lcm(basis[p[0]].lm, basis[p[1]].lm)),
-                order.key(monomial_lcm(basis[p[0]].lm, basis[p[1]].lm)),
-            ),
-        )
-        pairs.discard((i, j))
-        f, g = basis[i], basis[j]
-        if not any(monomial_gcd(f.lm, g.lm)):
-            continue
-        lcm = monomial_lcm(f.lm, g.lm)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(basis[k].lm, lcm):
-                if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spair(f, g)
-        trace: List[IntPoly] = [dict() for _ in basis]
-        r, mult = _normal_form_int(s, basis, order, trace=trace)
-        if not r:
-            continue
-        sf, sg = monomial_div(lcm, f.lm), monomial_div(lcm, g.lm)
-        cg = gcd(f.lc, g.lc)
-        a, b = g.lc // cg, f.lc // cg
-        coeffs = [
-            -Polynomial({e: Fraction(c) for e, c in q.items()}, nvars) if q else zero
-            for q in trace
-        ]
-        coeffs[i] = coeffs[i] + Polynomial({sf: Fraction(a * mult)}, nvars)
-        coeffs[j] = coeffs[j] + Polynomial({sg: Fraction(-b * mult)}, nvars)
-        # r = mult * S - sum(q_k b_k), with S = a x^sf b_i - b x^sg b_j,
-        # so coeffs above already represent r over the working basis
-        rep = combine(reps, coeffs)
-        content = _content(r)
-        basis.append(_Basis({e: c // content for e, c in r.items()}, order))
-        reps.append([p.scale(Fraction(1, content)) for p in rep])
-        new = len(basis) - 1
-        for k in range(new):
-            pairs.add((k, new))
-
-    # minimalize
-    keep: List[int] = []
-    for i, b in enumerate(basis):
-        if any(
-            monomial_divides(basis[k].lm, b.lm) and (basis[k].lm != b.lm or k < i)
-            for k in range(len(basis))
-            if k != i
-        ):
-            continue
-        keep.append(i)
-    # tail-reduce with traces, make monic
-    out_polys: List[Polynomial] = []
-    out_reps: List[List[Polynomial]] = []
-    for i in keep:
-        others = [basis[k] for k in keep if k != i]
-        other_reps = [reps[k] for k in keep if k != i]
-        trace = [dict() for _ in others]
-        r, mult = _normal_form_int(basis[i].poly, others, order, trace=trace)
-        lc = r[max(r, key=order.key)]
-        out_polys.append(Polynomial({e: Fraction(c, lc) for e, c in r.items()}, nvars))
-        coeffs = [
-            -Polynomial({e: Fraction(c) for e, c in q.items()}, nvars) if q else zero
-            for q in trace
-        ]
-        rep = combine(other_reps, coeffs)
-        base = [p * Fraction(mult) for p in reps[i]]
-        rep = [u + v for u, v in zip(base, rep)]
-        out_reps.append([p.scale(Fraction(1, lc)) for p in rep])
-    pairs_sorted = sorted(
-        zip(out_polys, out_reps),
-        key=lambda pr: order.key(pr[0].leading_monomial(order)),
-        reverse=True,
-    )
-    out_polys = [p for p, _ in pairs_sorted]
-    out_reps = [r for _, r in pairs_sorted]
-    return out_polys, out_reps
-
-
-def reduce_by_linear_forms(
-    gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
-) -> Tuple[List[Polynomial], List[Polynomial]]:
+def reduce_by_linear_forms(gens: Sequence[Polynomial]) -> Tuple[List[Polynomial], List[Polynomial]]:
     """Split off the ideal's linear forms by exact substitution.
 
-    Returns (linear, rest): ``linear`` is an echelonized basis of the degree-1
-    piece spanned by degree-1 generators, and ``rest`` generates the image of
-    the remaining generators under the substitution killing each pivot
-    variable.  The reduced GB of the input is the union of ``linear`` and the
-    reduced GB of ``rest`` (pivot variables are the largest in each form).
+    Returns (linear, rest): ``linear`` is the reduced echelon basis of the
+    degree-1 piece spanned by degree-1 generators, and ``rest`` generates the
+    image of the remaining generators under the substitution killing each
+    pivot variable.  The reduced GB of the input is the union of ``linear``
+    and the reduced GB of ``rest`` under degrevlex, whose leading variable of
+    a linear form is its pivot: the first variable it involves.
     """
     linear = [g for g in gens if g and g.homogeneous_degree() == 1]
     rest = [g for g in gens if g and g.homogeneous_degree() != 1]
     if not linear:
         return [], list(rest)
     nvars = gens[0].nvars
-    echelon: List[Polynomial] = []
-    for f in linear:
-        for e in echelon:
-            lm = e.leading_monomial(order)
-            c = f.coefficient(lm)
-            if c:
-                f = f - e.scale(c)
-        if f:
-            f = f.monic(order)
-            echelon = [
-                h - f.scale(h.coefficient(f.leading_monomial(order))) for h in echelon
-            ]
-            echelon.append(f)
-    echelon.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
-    images = list(Polynomial.variable(i, nvars) for i in range(nvars))
-    for f in echelon:
-        lm = f.leading_monomial(order)
-        pivot = next(i for i, e in enumerate(lm) if e)
-        images[pivot] = Polynomial.variable(pivot, nvars) - f
-    # iterate substitution until stable (pivot tails may involve other pivots)
-    for _ in range(len(echelon)):
-        images = [im.substitute(images) for im in images]
+    units = [tuple(int(i == k) for k in range(nvars)) for i in range(nvars)]
+    rows, pivots = rref([[g.coefficient(u) for u in units] for g in linear])
+    echelon = [linear_form(row, nvars) for row in rows]
+    # each form is its pivot variable plus a tail in the free variables only
+    images = [Polynomial.variable(i, nvars) for i in range(nvars)]
+    for f, pivot in zip(echelon, pivots):
+        images[pivot] = images[pivot] - f
     substituted = [g.substitute(images) for g in rest]
     return echelon, [g for g in substituted if g]

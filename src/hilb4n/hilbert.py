@@ -97,7 +97,7 @@ class HilbertPolynomial:
         return _gotzmann_decomposition(self)
 
     def __repr__(self):
-        return f"HilbertPolynomial({format_hp(self)})"
+        return f"HilbertPolynomial({format_hilbert_polynomial(self)})"
 
 
 def _factorial(k: int) -> int:
@@ -107,7 +107,7 @@ def _factorial(k: int) -> int:
     return out
 
 
-def format_hp(p: HilbertPolynomial) -> str:
+def format_hilbert_polynomial(p: HilbertPolynomial) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -119,7 +119,7 @@ def format_hp(p: HilbertPolynomial) -> str:
             body = str(abs(c))
         else:
             mono = "n" if power == 1 else f"n^{power}"
-            body = mono if abs(c) == 1 else f"({abs(c)})*{mono}"
+            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
         parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
     text = ("-" if sign == "-" else "") + body

@@ -29,7 +29,7 @@ from . import groebner as _gb
 class Ideal:
     """Homogeneous ideal given by generators, with cached reduced bases."""
 
-    __slots__ = ("gens", "nvars", "_gb_cache", "_gin", "_hp", "_series")
+    __slots__ = ("gens", "nvars", "_gb_cache", "_gin", "_hp")
 
     def __init__(self, gens: Iterable[Polynomial], nvars: Optional[int] = None):
         gens = [g for g in gens if g and not g.is_zero()]
@@ -47,7 +47,6 @@ class Ideal:
         self._gb_cache: Dict[MonomialOrder, Tuple[Polynomial, ...]] = {}
         self._gin = None
         self._hp = None
-        self._series = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -76,9 +75,6 @@ class Ideal:
 
     def contains_ideal(self, other: "Ideal", order: MonomialOrder = DEGREVLEX) -> bool:
         return all(self.contains(g, order) for g in other.gens)
-
-    def min_generator_degrees(self) -> List[int]:
-        return sorted(g.homogeneous_degree() for g in minimal_generators(self))
 
     def graded_piece(self, n: int) -> Subspace:
         """Degree-n piece of the ideal as a subspace of P_n in the monomial
@@ -167,7 +163,7 @@ def groebner_basis(
     from .orders import DegRevLex
 
     if isinstance(order, DegRevLex):
-        linear, rest = _gb.reduce_by_linear_forms(gens, order)
+        linear, rest = _gb.reduce_by_linear_forms(gens)
         if linear and rest:
             inner = _gb.buchberger(rest, order, max_degree=max_degree)
             combined = linear + inner

@@ -1,46 +1,59 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of Fractions (or ints).  Everything is computed
-exactly; there are no tolerances anywhere.
+exactly; there are no tolerances anywhere.  Every elimination is a sequence
+of one step, ``_insert``, which adds a row to a reduced row echelon form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 
 
-def _to_rows(m: Sequence[Sequence]) -> List[List[Fraction]]:
-    return [[Fraction(c) for c in row] for row in m]
+def _reduce(rows: Sequence[List[Fraction]], pivots: Sequence[int], v: Sequence) -> List[Fraction]:
+    """v minus its components along echelon rows with the given pivots."""
+    w = [Fraction(c) for c in v]
+    for row, pc in zip(rows, pivots):
+        f = w[pc]
+        if f:
+            w = [a - f * b for a, b in zip(w, row)]
+    return w
+
+
+def _insert(rows: List[List[Fraction]], pivots: List[int], v: Sequence) -> None:
+    """The one echelon step: reduce v by the rows, scale it to pivot 1, clear
+    its pivot column from the other rows, and insert it in pivot order.
+
+    ``rows``/``pivots`` stay a reduced row echelon form of the span; the
+    lists are updated in place, the row lists themselves are replaced.
+    """
+    w = _reduce(rows, pivots, v)
+    lead = next((i for i, c in enumerate(w) if c), None)
+    if lead is None:
+        return
+    lv = w[lead]
+    if lv != 1:
+        w = [c / lv for c in w]
+    for k, row in enumerate(rows):
+        f = row[lead]
+        if f:
+            rows[k] = [a - f * b for a, b in zip(row, w)]
+    pos = bisect_left(pivots, lead)
+    rows.insert(pos, w)
+    pivots.insert(pos, lead)
 
 
 def rref(m: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = _to_rows(m)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    rows: List[List[Fraction]] = []
     pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    for v in m:
+        _insert(rows, pivots, v)
+    return rows, pivots
 
 
 def rank(m: Sequence[Sequence]) -> int:
@@ -49,11 +62,10 @@ def rank(m: Sequence[Sequence]) -> int:
 
 def kernel_basis(m: Sequence[Sequence]) -> List[Vector]:
     """Basis of the right null space {v : m v = 0}; exact."""
-    rows = _to_rows(m)
-    if not rows:
+    if not m:
         return []
-    ncols = len(rows[0])
-    echelon, pivots = rref(rows)
+    ncols = len(m[0])
+    echelon, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis: List[Vector] = []
     for fc in free:
@@ -67,20 +79,14 @@ def kernel_basis(m: Sequence[Sequence]) -> List[Vector]:
 
 def solve(m: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     """One exact solution of m x = b, or None if inconsistent."""
-    rows = _to_rows(m)
-    target = [Fraction(c) for c in b]
-    if not rows:
-        return () if not any(target) else None
-    ncols = len(rows[0])
-    aug = [row + [t] for row, t in zip(rows, target)]
-    echelon, pivots = rref(aug)
-    for row in echelon:
-        if all(v == 0 for v in row[:ncols]) and row[ncols] != 0:
-            return None
+    if not m:
+        return () if not any(b) else None
+    ncols = len(m[0])
+    echelon, pivots = rref([list(row) + [t] for row, t in zip(m, b)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
     for ri, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
         x[pc] = echelon[ri][ncols]
     return tuple(x)
 
@@ -94,8 +100,7 @@ class Subspace:
 
     def __init__(self, vectors: Sequence[Sequence], ncols: int):
         self.ncols = ncols
-        rows = [v for v in _to_rows(vectors) if any(v)]
-        self.rows, self.pivots = rref(rows) if rows else ([], [])
+        self.rows, self.pivots = rref(vectors)
 
     @property
     def dim(self) -> int:
@@ -103,79 +108,14 @@ class Subspace:
 
     def reduce(self, v: Sequence) -> List[Fraction]:
         """Normal form of v modulo the subspace (zero iff v is a member)."""
-        w = [Fraction(c) for c in v]
-        for row, pc in zip(self.rows, self.pivots):
-            if w[pc]:
-                f = w[pc]
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
+        return _reduce(self.rows, self.pivots, v)
 
     def contains(self, v: Sequence) -> bool:
         return not any(self.reduce(v))
 
     def extended(self, vectors: Sequence[Sequence]) -> "Subspace":
         s = Subspace([], self.ncols)
-        s.rows = [r[:] for r in self.rows]
-        s.pivots = list(self.pivots)
+        s.rows, s.pivots = list(self.rows), list(self.pivots)
         for v in vectors:
-            w = s.reduce(v)
-            lead = next((i for i, c in enumerate(w) if c), None)
-            if lead is None:
-                continue
-            lv = w[lead]
-            w = [c / lv for c in w]
-            for row, pc in zip(s.rows, s.pivots):
-                if row[lead]:
-                    f = row[lead]
-                    for i in range(s.ncols):
-                        row[i] -= f * w[i]
-            pos = next((k for k, pc in enumerate(s.pivots) if pc > lead), len(s.pivots))
-            s.rows.insert(pos, w)
-            s.pivots.insert(pos, lead)
+            _insert(s.rows, s.pivots, v)
         return s
-
-    def basis(self) -> List[Vector]:
-        return [tuple(r) for r in self.rows]
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-free intersection via kernel of stacked bases."""
-        if self.ncols != other.ncols:
-            raise ValueError("subspaces of different ambient spaces")
-        a, b = self.basis(), other.basis()
-        if not a or not b:
-            return Subspace([], self.ncols)
-        cols = [list(v) for v in a] + [list(v) for v in b]
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(self.ncols)]
-        vectors = []
-        for k in kernel_basis(matrix):
-            v = [Fraction(0)] * self.ncols
-            for coeff, basis_vec in zip(k[: len(a)], a):
-                for i in range(self.ncols):
-                    v[i] += coeff * basis_vec[i]
-            vectors.append(v)
-        return Subspace(vectors, self.ncols)
-
-
-# ---------------------------------------------------------------------------
-# integer helpers for fraction-free work
-
-def int_content(v: Sequence[int]) -> int:
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
-def primitive_int_vector(v: Sequence) -> List[int]:
-    """Scale a rational vector to coprime integers (empty/zero stays zero)."""
-    fracs = [Fraction(c) for c in v]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fracs]
-    g = int_content(ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .hilbert import HilbertPolynomial
+from .hilbert import HilbertPolynomial, format_hilbert_polynomial
 from .ideals import Ideal
 from .poly import FAMILY_VARS, NVARS, RING_VARS, Polynomial, format_polynomial
 
@@ -248,27 +248,3 @@ def format_ideal(I: Ideal | IdealDocument, variables: Optional[Sequence[str]] = 
         if variables is None:
             variables = RING_VARS if I.nvars == NVARS else FAMILY_VARS[: I.nvars]
     return ";\n".join(format_polynomial(g, variables) for g in gens)
-
-
-def format_hilbert_polynomial(p: HilbertPolynomial) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for power in range(p.degree(), -1, -1):
-        c = p.coeffs[power]
-        if not c:
-            continue
-        if power == 0:
-            body = str(abs(c))
-        else:
-            mono = "n" if power == 1 else f"n^{power}"
-            if abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .linalg import rank, rref
 from .orders import DEGREVLEX, Exponent, MonomialOrder
 
 RING_VARS = ("x", "y", "z", "t")
@@ -21,10 +22,6 @@ FAMILY_VARS = RING_VARS + (PARAM_VAR,)
 
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
-
-def monomial_degree(e: Exponent) -> int:
-    return sum(e)
-
 
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
@@ -132,9 +129,6 @@ class Polynomial:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def graded_part(self, n: int) -> "Polynomial":
-        return Polynomial({e: c for e, c in self.terms.items() if sum(e) == n}, self.nvars)
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Exponent:
         if not self.terms:
@@ -366,7 +360,7 @@ class LinearChange:
         n = len(m)
         if any(len(row) != n for row in m):
             raise ValueError("matrix must be square")
-        if _det(m) == 0:
+        if rank(m) != n:
             raise ValueError("linear change must be invertible (nonzero determinant)")
         self.matrix = tuple(tuple(row) for row in m)
         self.nvars = n
@@ -403,40 +397,12 @@ class LinearChange:
 
     def inverse(self) -> "LinearChange":
         n = self.nvars
-        aug = [list(self.matrix[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [v / pv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return LinearChange([row[n:] for row in aug])
+        # the reduced echelon form of [M | I] is [I | M^-1]
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.matrix)]
+        return LinearChange([row[n:] for row in rref(aug)[0]])
 
     def __repr__(self):
         return f"LinearChange({[list(map(str, row)) for row in self.matrix]})"
-
-
-def _det(m: List[List[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return det
 
 
 def apply_change(p: Polynomial, g: LinearChange) -> Polynomial:

@@ -1,10 +1,32 @@
 """Acceptance suite: every verification criterion at its stated count, all
 checks exact (tolerance zero).  One test per criterion; each prints a
-PASS/FAIL line per item."""
+PASS/FAIL line per item.
 
-from hilb4n.verify import CRITERIA, DEFAULT_SEED
+Each criterion's items are also held to the default-seed report stored in
+``data/``: id, expected value, computed value and status must match it
+exactly, so any change in what the engine computes shows up here.
+"""
+
+import json
+import os
+
+from hilb4n.verify import CRITERIA, DEFAULT_SEED, VerificationReport
+
+GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "verify_report_default_seed.json")
+GOLDEN_FIELDS = ("id", "expected", "computed", "status")
 
 _CACHE = {}
+
+
+def _golden_items(name):
+    with open(GOLDEN_REPORT, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["seed"] == DEFAULT_SEED
+    return [
+        {k: item[k] for k in GOLDEN_FIELDS}
+        for item in report["items"]
+        if item["id"].split("/")[0] == name
+    ]
 
 
 def _run(name):
@@ -17,6 +39,10 @@ def _run(name):
         if item.status != "pass":
             failures.append(f"{item.id}: expected {item.expected}, computed {item.computed}")
     assert not failures, "; ".join(failures)
+    # the report's own serialisation, read back as the stored file is
+    report = json.loads(VerificationReport(seed=DEFAULT_SEED, items=items).to_json(False))
+    computed = [{k: item[k] for k in GOLDEN_FIELDS} for item in report["items"]]
+    assert computed == _golden_items(name)
 
 
 def test_criterion_01_borel_enumeration():

@@ -129,3 +129,25 @@ def test_verify_subset_json_deterministic(capsys):
 
 def test_verify_unknown_criterion(capsys):
     assert main(["verify-paper", "--only", "nonsense"]) == 2
+
+
+def test_order_only_on_gb(b3_file, capsys):
+    assert main(["gb", "--ideal", b3_file, "--order", "lex", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == "lex"
+    for command in (["hp", "--ideal", b3_file], ["reg", "--ideal", b3_file], ["dims"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--order", "lex"])
+        assert exc.value.code == 2
+
+
+def test_negative_upto_is_usage_error(b3_file, capsys):
+    assert main(["hf", "--ideal", b3_file, "--upto", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--upto" in captured.err
+
+
+def test_saturate_by_bad_form_is_usage_error(b3_file, capsys):
+    assert main(["sat", "--ideal", b3_file, "--by", "0"]) == 2
+    assert "--by" in capsys.readouterr().err
+    assert main(["sat", "--ideal", b3_file, "--by", "x + y^2"]) == 2

@@ -199,3 +199,8 @@ def test_hilbert_function_table_class(catalog):
     table = HilbertFunction.of_ideal(catalog["B3"].ideal, 7)
     assert table.values(7) == PHI3
     assert table[4] == 19
+
+
+def test_hilbert_polynomial_repr_uses_the_parser_format():
+    assert repr(HilbertPolynomial([1, 4])) == "HilbertPolynomial(4*n + 1)"
+    assert repr(HilbertPolynomial([0, Fraction(-1, 2), 1])) == "HilbertPolynomial(n^2 - 1/2*n)"
