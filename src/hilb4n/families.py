@@ -346,9 +346,10 @@ def family_limit_data(F: ParamFamily, at=0, rng: Optional[random.Random] = None)
         index = {e: i for i, e in enumerate(monos)}
         space = current.graded_piece(d) if current is not None else Subspace([], len(monos))
         for row in piece.rows:
-            if not space.contains(row):
+            grown = space.extended([row])
+            if grown.dim > space.dim:
                 gens.append(Polynomial({monos[i]: c for i, c in enumerate(row) if c}, NVARS))
-                space = space.extended([row])
+                space = grown
                 current = Ideal(gens, NVARS)
     raw = Ideal(gens, NVARS)
     saturated = saturate_irrelevant(raw)

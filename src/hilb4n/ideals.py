@@ -213,9 +213,10 @@ def minimal_generators(I: Ideal) -> List[Polynomial]:
         for g in gb:
             if g.homogeneous_degree() != d:
                 continue
-            if not space.contains(_coords(g, index)):
+            grown = space.extended([_coords(g, index)])
+            if grown.dim > space.dim:
                 kept.append(g)
-                space = space.extended([_coords(g, index)])
+                space = grown
     return kept
 
 
@@ -427,26 +428,12 @@ def syzygies_of(
             raise ArithmeticError("generator failed to reduce against its own basis")
         a_rows.append(quots)
     # syzygies of gens: transported basis syzygies plus rows of (Id - A B)
-    out = []
-    for s in gb_syz:
-        row = [zero] * len(gens)
-        for k, sk in enumerate(s):
-            if not sk:
-                continue
-            for j in range(len(gens)):
-                if reps[k][j]:
-                    row[j] = row[j] + sk * reps[k][j]
-        if any(row):
-            out.append(row)
-    for i in range(len(gens)):
-        row = [zero] * len(gens)
-        row[i] = Polynomial.constant(1, nvars)
-        for k, quo in enumerate(a_rows[i]):
-            if not quo:
-                continue
-            for j in range(len(gens)):
-                if reps[k][j]:
-                    row[j] = row[j] - quo * reps[k][j]
+    out = [row for row in (_gb._combine(reps, s, nvars) for s in gb_syz) if any(row)]
+    one = Polynomial.constant(1, nvars)
+    for i, quots in enumerate(a_rows):
+        # with no basis (every generator zero) A*B is the zero matrix
+        ab = _gb._combine(reps, quots, nvars) if reps else [zero] * len(gens)
+        row = [(one if j == i else zero) - c for j, c in enumerate(ab)]
         if any(row):
             out.append(row)
     return out

@@ -9,6 +9,8 @@ parameter ``a`` or an elimination tag.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import rank, rref
@@ -86,6 +88,14 @@ class Polynomial:
         self._hash = None
 
     # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def _exact(terms: Dict[Exponent, Fraction], nvars: int) -> "Polynomial":
+        """Adopt terms that are already clean: nonzero Fractions keyed by
+        exponent tuples of length nvars."""
+        p = Polynomial.__new__(Polynomial)
+        p.terms, p.nvars, p._hash = terms, nvars, None
+        return p
 
     @staticmethod
     def zero(nvars: int = NVARS) -> "Polynomial":
@@ -225,29 +235,67 @@ class Polynomial:
     # -- substitution --------------------------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map sending variable i to images[i]; exact."""
+        """Ring map sending variable i to images[i]; exact.
+
+        Works on integers: image i is P_i / d_i with P_i integral, and the
+        image of a monomial m is image(m / x_i) * P_i for the first variable
+        x_i of m.  Images are built degree by degree and only those of the
+        previous degree are kept.  The output numerators are summed over one
+        common denominator, so each coefficient becomes a Fraction once.
+        """
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         tgt = images[0].nvars if images else self.nvars
-        # cache powers of each image
-        powers: List[Dict[int, Polynomial]] = [
-            {0: Polynomial.constant(1, tgt)} for _ in images
-        ]
-        out = Polynomial.zero(tgt)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(c, tgt)
-            for i, ei in enumerate(e):
-                if ei == 0:
-                    continue
-                cache = powers[i]
-                if ei not in cache:
-                    p = cache[max(cache)]
-                    for k in range(max(cache) + 1, ei + 1):
-                        p = p * images[i]
-                        cache[k] = p
-                term = term * cache[ei]
-            out = out + term
-        return out
+        ints: List[List[Tuple[Exponent, int]]] = []
+        dens: List[int] = []
+        for image in images:
+            if image.nvars != tgt:
+                raise ValueError("polynomials live in different rings")
+            d = lcm(*(c.denominator for c in image.terms.values()))
+            ints.append([(e, c.numerator * (d // c.denominator)) for e, c in image.terms.items()])
+            dens.append(d)
+        # the monomials whose images are needed: the terms and, below each,
+        # the chain m -> (m / x_i, i) down to 1
+        steps: Dict[Exponent, Tuple[Exponent, int]] = {}
+        for m in self.terms:
+            while any(m) and m not in steps:
+                i = next(k for k, mk in enumerate(m) if mk)
+                low = m[:i] + (m[i] - 1,) + m[i + 1:]
+                steps[m] = (low, i)
+                m = low
+        lows = {low for low, _ in steps.values()}
+        # term m with coefficient c contributes c * image(m) / prod d_i^m_i
+        quotients = {
+            m: c.denominator * prod(d**k for d, k in zip(dens, m)) for m, c in self.terms.items()
+        }
+        den = lcm(*quotients.values())
+        out: Dict[Exponent, int] = {}
+
+        def accumulate(m: Exponent, img: Dict[Exponent, int]) -> None:
+            f = self.terms[m].numerator * (den // quotients[m])
+            for e, v in img.items():
+                out[e] = out.get(e, 0) + f * v
+
+        one = (0,) * self.nvars
+        below = {one: {(0,) * tgt: 1}}  # images one degree below the current one
+        if one in self.terms:
+            accumulate(one, below[one])
+        level: Dict[Exponent, Dict[Exponent, int]] = {}
+        deg = 1
+        for m in sorted(steps, key=sum):
+            if sum(m) > deg:
+                below, level, deg = level, {}, deg + 1
+            low, i = steps[m]
+            img: Dict[Exponent, int] = {}
+            for e1, c1 in below[low].items():
+                for e2, c2 in ints[i]:
+                    e = tuple(map(add, e1, e2))
+                    img[e] = img.get(e, 0) + c1 * c2
+            if m in lows:
+                level[m] = img
+            if m in self.terms:
+                accumulate(m, img)
+        return Polynomial._exact({e: Fraction(v, den) for e, v in out.items() if v}, tgt)
 
     def evaluate(self, values: Sequence) -> Fraction:
         vals = [Fraction(v) for v in values]

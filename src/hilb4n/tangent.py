@@ -86,9 +86,9 @@ def _section_space(I: Ideal, ell: Polynomial, k: int, degree_r: int,
         reduced = _gb.normal_form_poly(rep, gb)
         if reduced.is_zero():
             continue
-        v = _coords(reduced, index)
-        if not space.contains(v):
-            space = space.extended([v])
+        grown = space.extended([_coords(reduced, index)])
+        if grown.dim > space.dim:
+            space = grown
             basis.append(reduced)
     return basis
 

@@ -49,16 +49,16 @@ def test_borel_closure_minimality(rng):
         assert other.contains_ideal(closed)
 
 
-def test_enumeration_is_the_catalog(catalog):
-    found = enumerate_borel_ideals(FOUR_N)
+def test_enumeration_is_the_catalog(catalog, four_n_borel):
+    found = four_n_borel
     assert len(found) == 4
     keys = {tuple(I.monomial_generators()) for I in found}
     expected = {tuple(catalog[k].ideal.monomial_generators()) for k in catalog}
     assert keys == expected
 
 
-def test_enumeration_outputs_verified(catalog):
-    for I in enumerate_borel_ideals(FOUR_N):
+def test_enumeration_outputs_verified(four_n_borel):
+    for I in four_n_borel:
         assert is_strongly_stable(I)
         assert is_saturated(I)
         assert quotient_hilbert_polynomial(I) == FOUR_N
@@ -77,13 +77,13 @@ def test_lex_ideal_examples(catalog):
     assert equal(lex_ideal(HilbertPolynomial([1, 1])), Ideal([x, y]))
 
 
-def test_lex_ideal_is_lex_greatest():
+def test_lex_ideal_is_lex_greatest(four_n_borel):
     # each graded piece of the lex point is spanned by the initial lex segment
     # of its dimension, so it is degreewise lex-greatest
     from hilb4n.ideals import graded_monomial_basis
 
     L = lex_ideal(FOUR_N)
-    assert any(equal(L, I) for I in enumerate_borel_ideals(FOUR_N))
+    assert any(equal(L, I) for I in four_n_borel)
     for n in range(1, 8):
         dim = hilbert_function(L, n)
         piece = L.graded_piece(n)

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilb4n.poly import (
+    FAMILY_VARS,
     LinearChange,
     Polynomial,
     apply_change,
@@ -105,3 +107,104 @@ def test_compose_matches_sequential(rng):
     g2 = LinearChange.random(rng)
     p = random_form(rng, 2)
     assert apply_change(p, g1.compose(g2)) == apply_change(apply_change(p, g2), g1)
+
+
+# ---------------------------------------------------------------------------
+# the integer substitution kernel against the term-by-term reference
+
+def _reference_substitute(p, images):
+    """Term-by-term substitution with Fraction polynomial products, as an
+    oracle for Polynomial.substitute."""
+    tgt = images[0].nvars if images else p.nvars
+    powers = [{0: Polynomial.constant(1, tgt)} for _ in images]
+    out = Polynomial.zero(tgt)
+    for e, c in p.terms.items():
+        term = Polynomial.constant(c, tgt)
+        for i, ei in enumerate(e):
+            if ei == 0:
+                continue
+            cache = powers[i]
+            if ei not in cache:
+                q = cache[max(cache)]
+                for k in range(max(cache) + 1, ei + 1):
+                    q = q * images[i]
+                    cache[k] = q
+            term = term * cache[ei]
+        out = out + term
+    return out
+
+
+SUBST = settings(max_examples=40, deadline=None)
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+
+
+@st.composite
+def polynomials(draw, nvars=4, max_degree=4, max_terms=6):
+    monos = [e for d in range(max_degree + 1) for e in monomials_of_degree(d, nvars)]
+    terms = draw(st.lists(st.tuples(st.sampled_from(monos), RATIONALS), max_size=max_terms))
+    return Polynomial(terms, nvars)
+
+
+@st.composite
+def changes(draw):
+    m = draw(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=4, max_size=4))
+    try:
+        return LinearChange(m)
+    except ValueError:
+        return LinearChange.identity()
+
+
+def _agree(p, images):
+    got = p.substitute(images)
+    want = _reference_substitute(p, images)
+    assert got == want and got.nvars == want.nvars
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+@SUBST
+@given(polynomials(), changes())
+def test_substitute_matches_reference_under_changes(p, g):
+    _agree(p, g.images())
+    _agree(p, g.inverse().images())
+
+
+@SUBST
+@given(polynomials(nvars=3), st.lists(polynomials(max_degree=1), min_size=3, max_size=3))
+def test_substitute_matches_reference_three_to_four(p, frame):
+    _agree(p, frame)
+
+
+@SUBST
+@given(polynomials(), st.lists(RATIONALS, min_size=4, max_size=4),
+       st.lists(polynomials(nvars=5, max_degree=2, max_terms=3), min_size=5, max_size=5))
+def test_substitute_matches_reference_four_to_five(p, scales, images):
+    # the shear t -> t - a*x of the family ring, then arbitrary images
+    n = len(FAMILY_VARS)
+    x5, y5, z5, t5, a = (Polynomial.variable(i, n) for i in range(n))
+    p5 = p.extend()
+    _agree(p5, [x5, y5, z5, t5 - a * x5, a])
+    _agree(p5, images)
+    _agree(p, [v.scale(c) for v, c in zip((x5, y5, z5, t5), scales)])
+
+
+@SUBST
+@given(polynomials(), RATIONALS, st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_substitute_matches_reference_scaled_monomials(p, value, weights):
+    value = value or Fraction(1)
+    _agree(p, [Polynomial.variable(i).scale(value ** w) for i, w in enumerate(weights)])
+
+
+@SUBST
+@given(RATIONALS, changes())
+def test_substitute_zero_and_constants(c, g):
+    for p in (Polynomial.zero(), Polynomial.constant(c)):
+        _agree(p, g.images())
+    assert Polynomial.zero().substitute(g.images()) == Polynomial.zero()
+    if c:
+        assert Polynomial.constant(c).substitute(g.images()) == Polynomial.constant(c)
+
+
+@SUBST
+@given(polynomials(), changes())
+def test_apply_change_inverse_roundtrip_property(p, g):
+    assert apply_change(apply_change(p, g), g.inverse()) == p
