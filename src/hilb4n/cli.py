@@ -16,6 +16,7 @@ from .borel import enumerate_borel_ideals, lex_ideal
 from .families import ParamFamily, family_limit
 from .gin import generic_initial_ideal
 from .hilbert import (
+    gotzmann_number,
     hilbert_function,
     hilbert_polynomial,
     quotient_hilbert_polynomial,
@@ -171,10 +172,14 @@ def _cmd_tangent(args) -> int:
 
 
 def _parse_hp_arg(text: str):
+    """A quotient Hilbert polynomial from --hp; one with no Gotzmann
+    decomposition is bad input, not a failed check."""
     try:
-        return parse_hilbert_polynomial(text)
-    except ParseError as exc:
+        p = parse_hilbert_polynomial(text)
+        gotzmann_number(p)
+    except ValueError as exc:  # ParseError included
         raise CliError(str(exc), USAGE_ERROR)
+    return p
 
 
 def _cmd_borel_enum(args) -> int:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .borel import is_strongly_stable
-from .hilbert import hilbert_function, standard_monomial_count
+from .hilbert import hilbert_function
 from .ideals import Ideal, equal, groebner_basis, monomial_ideal, saturate, saturate_irrelevant
 from .orders import DEGREVLEX, Exponent
-from .poly import LinearChange, count_monomials, linear_form
+from .poly import LinearChange, linear_form
 
 _HF_CHECK_DEGREE = 8
 _MAX_ESCALATIONS = 6
@@ -60,11 +60,7 @@ def generic_initial_ideal(I: Ideal, rng: Optional[random.Random] = None) -> GinR
         M = monomial_ideal(cand, I.nvars)
         if not is_strongly_stable(M):
             return False
-        for n in range(_HF_CHECK_DEGREE + 1):
-            ideal_dim = count_monomials(n, I.nvars) - standard_monomial_count(cand, n, I.nvars)
-            if ideal_dim != hf_target[n]:
-                return False
-        return True
+        return all(hilbert_function(M, n) == hf_target[n] for n in range(_HF_CHECK_DEGREE + 1))
 
     bound = 10
     seeds: List[int] = []

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .ideals import Ideal, initial_ideal, minimalize_monomials
 from .orders import Exponent
-from .poly import Polynomial, count_monomials, monomial_divides, monomials_of_degree
+from .poly import count_monomials, monomials_of_degree
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +194,10 @@ def _initial_generators(I: Ideal) -> List[Exponent]:
 
 
 def standard_monomial_count(gens: Sequence[Exponent], n: int, nvars: int) -> int:
-    """Number of degree-n monomials outside the monomial ideal."""
-    relevant = [g for g in gens if sum(g) <= n]
-    if not relevant:
-        return count_monomials(n, nvars)
-    count = 0
-    for m in monomials_of_degree(n, nvars):
-        if not any(monomial_divides(g, m) for g in relevant):
-            count += 1
-    return count
+    """Number of degree-n monomials outside the monomial ideal:
+    sum_{k <= n} c_k C(n - k + nvars - 1, nvars - 1) over the series numerator."""
+    num = _series_numerator(tuple(gens), nvars)
+    return sum(c * comb(n - k + nvars - 1, nvars - 1) for k, c in num.items() if k <= n)
 
 
 def hilbert_function(I: Ideal, n: int) -> int:
@@ -264,15 +260,13 @@ def _series_numerator_cached(gens: Tuple[Exponent, ...], nvars: int) -> Tuple[Tu
     return tuple(sorted((k, c) for k, c in out.items() if c))
 
 
-def _quotient_hp_from_series(gens: Sequence[Exponent], nvars: int) -> Tuple[HilbertPolynomial, int]:
-    """Quotient Hilbert polynomial of a monomial ideal plus the degree from
-    which the Hilbert function equals it."""
-    num = _series_numerator(tuple(gens), nvars)
+def _quotient_hp_from_series(gens: Sequence[Exponent], nvars: int) -> HilbertPolynomial:
+    """Quotient Hilbert polynomial of a monomial ideal:
+    sum_k c_k C(n - k + nvars - 1, nvars - 1) over the series numerator."""
     hp = HilbertPolynomial.zero()
-    for d, c in num.items():
+    for d, c in _series_numerator(tuple(gens), nvars).items():
         hp = hp + HilbertPolynomial.binomial(nvars - 1 - d, nvars - 1) * c
-    cutoff = max((d for d in num), default=0) - nvars + 1
-    return hp, max(cutoff, 0)
+    return hp
 
 
 def ambient_hilbert_polynomial(nvars: int) -> HilbertPolynomial:
@@ -280,44 +274,12 @@ def ambient_hilbert_polynomial(nvars: int) -> HilbertPolynomial:
 
 
 def hilbert_polynomial(I: Ideal) -> HilbertPolynomial:
-    """The unique polynomial agreeing with hilbert_function(I, n) for large n.
-
-    Interpolated at four consecutive degrees past every stabilization bound,
-    guarded by four extra evaluations and by the exact Hilbert-series value.
-    """
-    if I._hp is not None:
-        return I._hp
-    if I.is_zero():
-        I._hp = HilbertPolynomial.zero()
-        return I._hp
-    gens = _initial_generators(I)
-    series_quotient, cutoff = _quotient_hp_from_series(gens, I.nvars)
-    series_hp = ambient_hilbert_polynomial(I.nvars) - series_quotient
-    max_gen_degree = max(sum(g) for g in gens)
-    base = max(6, max_gen_degree, cutoff)
-    points = [
-        (n, hilbert_function(I, n)) for n in range(base, base + I.nvars)
-    ]
-    interp = _interpolate(points)
-    for n in range(base + I.nvars, base + I.nvars + 4):
-        if interp(n) != hilbert_function(I, n):
-            raise ArithmeticError("Hilbert polynomial guard failed: bad stabilization bound")
-    if interp != series_hp:
-        raise ArithmeticError("Hilbert polynomial guard failed: series/interpolation disagree")
-    I._hp = interp
-    return interp
-
-
-def _interpolate(points: Sequence[Tuple[int, int]]) -> HilbertPolynomial:
-    out = HilbertPolynomial.zero()
-    for i, (xi, yi) in enumerate(points):
-        term = HilbertPolynomial.constant(yi)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * HilbertPolynomial([-xj, 1]) * Fraction(1, xi - xj)
-        out = out + term
-    return out
+    """The unique polynomial agreeing with hilbert_function(I, n) for large n,
+    read off the Hilbert-series numerator of the degrevlex initial ideal."""
+    if I._hp is None:
+        gens = _initial_generators(I)
+        I._hp = ambient_hilbert_polynomial(I.nvars) - _quotient_hp_from_series(gens, I.nvars)
+    return I._hp
 
 
 def quotient_hilbert_polynomial(I: Ideal) -> HilbertPolynomial:

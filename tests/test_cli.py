@@ -151,3 +151,12 @@ def test_saturate_by_bad_form_is_usage_error(b3_file, capsys):
     assert main(["sat", "--ideal", b3_file, "--by", "0"]) == 2
     assert "--by" in capsys.readouterr().err
     assert main(["sat", "--ideal", b3_file, "--by", "x + y^2"]) == 2
+
+
+@pytest.mark.parametrize("command", ["borel-enum", "lex-point"])
+@pytest.mark.parametrize("hp", ["-n", "n^2-5"])
+def test_hp_without_gotzmann_decomposition_is_usage_error(command, hp, capsys):
+    assert main([command, f"--hp={hp}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Gotzmann decomposition" in captured.err

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hilb4n.hilbert import (
     HilbertFunction,
@@ -15,10 +16,19 @@ from hilb4n.hilbert import (
     quotient_hilbert_function,
     quotient_hilbert_polynomial,
     regularity,
+    standard_monomial_count,
+    _series_numerator,
 )
-from hilb4n.ideals import Ideal
+from hilb4n.ideals import Ideal, monomial_ideal
 from hilb4n.linalg import rank
-from hilb4n.poly import Polynomial, count_monomials, monomials_of_degree, random_form, variables
+from hilb4n.poly import (
+    Polynomial,
+    count_monomials,
+    monomial_divides,
+    monomials_of_degree,
+    random_form,
+    variables,
+)
 
 x, y, z, t = variables()
 FOUR_N = HilbertPolynomial([0, 4])
@@ -63,6 +73,49 @@ def test_monotone_growth(catalog):
         values = [hilbert_function(entry.ideal, n) for n in range(9)]
         assert all(values[i + 1] >= values[i] for i in range(8))
         assert all(values[n] <= count_monomials(n, 4) for n in range(9))
+
+
+def reference_standard_monomial_count(gens, n, nvars):
+    """Brute force: enumerate the degree-n monomials and keep those outside the ideal."""
+    return sum(
+        1 for m in monomials_of_degree(n, nvars) if not any(monomial_divides(g, m) for g in gens)
+    )
+
+
+@st.composite
+def monomial_generators(draw):
+    """(nvars, gens): 1-5 variables, 0-6 generators with exponents 0-4."""
+    nvars = draw(st.integers(1, 5))
+    exponent = st.tuples(*[st.integers(0, 4)] * nvars)
+    return nvars, draw(st.lists(exponent, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_generators(), st.integers(0, 10))
+@example((4, []), 3)
+@example((3, [(0, 0, 0)]), 0)
+@example((5, [(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)]), 4)
+@example((1, [(4,)]), 2)
+def test_standard_monomial_count_matches_enumeration(ideal, n):
+    nvars, gens = ideal
+    assert standard_monomial_count(gens, n, nvars) == reference_standard_monomial_count(
+        gens, n, nvars
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(monomial_generators())
+@example((4, []))
+@example((3, [(0, 0, 0)]))
+@example((2, [(4, 0), (0, 3)]))
+def test_hilbert_polynomial_matches_enumeration_past_the_series_cutoff(ideal):
+    # the Hilbert function equals the polynomial from max deg(numerator) - nvars + 1 on
+    nvars, gens = ideal
+    hp = hilbert_polynomial(monomial_ideal(gens, nvars))
+    cutoff = max(0, max(_series_numerator(tuple(gens), nvars)) - nvars + 1)
+    for n in range(cutoff, cutoff + 5):
+        ideal_dim = count_monomials(n, nvars) - reference_standard_monomial_count(gens, n, nvars)
+        assert hp(n) == ideal_dim
 
 
 def test_hilbert_polynomial_values(catalog):
