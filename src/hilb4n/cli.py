@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on a mathematical-check failure, 2 on usage or
-input errors.  All randomness sits behind --seed.
+input errors.  The subcommands that draw random numbers (gin, sample and
+verify-paper) take them from --seed; no other subcommand accepts it.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def _cmd_limit(args) -> int:
     family = ParamFamily(doc.generators, description=f"family from {args.family}")
     at = 0 if args.at == "0" else "inf"
     try:
-        limit = family_limit(family, at, random.Random(args.seed))
+        limit = family_limit(family, at)
     except (ValueError, ArithmeticError) as exc:
         raise CliError(str(exc), MATH_ERROR)
     lines = format_ideal(limit).split("\n")
@@ -294,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
         return p
+
+    def add_seed(p):
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
 
     p = add("hf", _cmd_hf, "Hilbert function values of an ideal")
     p.add_argument("--ideal", required=True)
@@ -316,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gin", _cmd_gin, "generic initial ideal")
     p.add_argument("--ideal", required=True)
+    add_seed(p)
 
     p = add("sat", _cmd_sat, "saturation (by the irrelevant ideal, or --by a form)")
     p.add_argument("--ideal", required=True)
@@ -335,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sample", _cmd_sample, "random ideal from a stratum")
     p.add_argument("--stratum", required=True, choices=("V", "R3'", "R4", "R5", "R6"))
+    add_seed(p)
 
     p = add("limit", _cmd_limit, "flat limit of a one-parameter family (parameter a)")
     p.add_argument("--family", required=True, help="file of generators over x,y,z,t,a")
@@ -345,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-paper", _cmd_verify, "run the full verification suite")
     p.add_argument("--only", default=None, help="comma-separated criteria subset")
     p.add_argument("--out", default=None, help="write the JSON report to a file")
+    add_seed(p)
 
     return parser
 

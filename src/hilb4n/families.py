@@ -3,11 +3,12 @@
 A family lives in the ring k[x,y,z,t,a] with generators homogeneous in the
 geometric variables; the parameter a has its own exponent slot.  The limit at
 a -> 0 is the Hilbert-scheme limit: the saturation of the family by a,
-specialized at 0, then saturated by the irrelevant ideal.  It is computed
-degreewise: each graded piece of the a-saturated family is a free module over
-k[a], and its fibre at 0 is the exact limit of the moving graded pieces,
-obtained by integer-echelon elimination with division by a on collapse.
-Limits at infinity substitute a -> 1/a and clear denominators first.
+specialized at 0, then saturated by the irrelevant ideal (Eisenbud,
+Commutative Algebra, Prop. 15.16 and Thm 15.17).  The saturation by a is one
+Groebner computation: the generators are homogenised in a second parameter
+b, saturated by a with the last-variable trick, and set to a = 0, b = 1.
+Limits at infinity swap the roles of a and b.  Flatness holds by
+construction, since the saturated family has no a-torsion.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hilbert import HilbertPolynomial, gotzmann_number, quotient_hilbert_polynomial
@@ -25,19 +25,12 @@ from .ideals import (
     divide_exact,
     graded_monomial_basis,
     equal,
+    saturate_by_variable,
     saturate_irrelevant,
 )
 from .linalg import Subspace
 from .orders import Exponent
-from .poly import (
-    NVARS,
-    LinearChange,
-    Polynomial,
-    count_monomials,
-    monomial_mul,
-    monomials_of_degree,
-    variables,
-)
+from .poly import NVARS, LinearChange, Polynomial, variables
 from .strata import (
     R5Shape,
     StratumReport,
@@ -99,15 +92,6 @@ class ParamFamily:
             raise FamilyError(f"family degenerates at parameter {value}")
         return Ideal(gens, NVARS)
 
-    def invert_parameter(self) -> "ParamFamily":
-        """Substitute a -> 1/a and clear denominators generator by generator."""
-        gens = []
-        for g in self.generators:
-            top = max(e[PARAM] for e in g.terms)
-            terms = {e[:NVARS] + (top - e[PARAM],): c for e, c in g.terms.items()}
-            gens.append(Polynomial(terms, FAMILY_NVARS))
-        return ParamFamily(tuple(gens), f"{self.description} [a -> 1/a]")
-
 
 def weight_action_family(I: Ideal, weights: Sequence[int], description: str = "") -> ParamFamily:
     """The family sigma_w(a) . I for the torus action scaling x_i by a^w_i."""
@@ -136,243 +120,76 @@ def apply_torus(I: Ideal, weights: Sequence[int], value) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# exact limits of moving graded pieces
+# flat limits by one saturation
 
-class _KaVector:
-    """Vector over k[a]: integer coefficient layers by ascending a-power."""
+def _special_fibre(F: ParamFamily, at) -> Ideal:
+    """(I : a^inf) specialized at a = 0, or the same at a = infinity.
 
-    __slots__ = ("layers",)
-
-    def __init__(self, layers: List[List[int]]):
-        while layers and not any(layers[-1]):
-            layers.pop()
-        self.layers = layers
-
-    def is_zero(self) -> bool:
-        return not self.layers
-
-    def valuation_strip(self) -> "_KaVector":
-        layers = self.layers
-        while layers and not any(layers[0]):
-            layers = layers[1:]
-        return _KaVector([row[:] for row in layers])
-
-    def combine(self, s: int, other: "_KaVector", t: int) -> "_KaVector":
-        """s * self + t * other."""
-        n = max(len(self.layers), len(other.layers))
-        width = len(self.layers[0]) if self.layers else len(other.layers[0])
-        out = []
-        for k in range(n):
-            row = [0] * width
-            if k < len(self.layers):
-                a = self.layers[k]
-                for i in range(width):
-                    row[i] = s * a[i]
-            if k < len(other.layers):
-                b = other.layers[k]
-                for i in range(width):
-                    row[i] += t * b[i]
-            out.append(row)
-        return _KaVector(out)
-
-    def content_reduce(self):
-        g = 0
-        for row in self.layers:
-            for c in row:
-                g = gcd(g, abs(c))
-                if g == 1:
-                    return
-        if g > 1:
-            for row in self.layers:
-                for i in range(len(row)):
-                    row[i] //= g
-
-
-def _limit_space(vectors: List[_KaVector], width: int, rank_target: int) -> List[List[int]]:
-    """Basis (integer rows) of the limit at a=0 of the moving span of the
-    given k[a]-vectors, which has the given generic rank.
-
-    Every kept vector is an exact a-power-divided combination of the inputs,
-    hence an honest element of the saturated family module; a vector whose
-    fibre keeps collapsing into the echelon is a unit-denominator combination
-    of earlier ones and contributes nothing, so it is dropped once its
-    division budget is exhausted.
+    Each generator is homogenised in a new variable b (x^e a^k becomes
+    x^e a^k b^(top-k)), so the family is the affine chart b = 1 of a
+    homogeneous ideal in six variables.  Saturating by the variable that
+    vanishes at the limit point and then setting it to 0 and the other to 1
+    is the flat limit: dehomogenising localises at the other variable, which
+    commutes with the saturation.
     """
-
-    pivots: Dict[int, _KaVector] = {}
-
-    def reduce_fibre(v: _KaVector) -> _KaVector:
-        for col in sorted(pivots):
-            head = v.layers[0] if v.layers else None
-            if head is None or not head[col]:
-                continue
-            p = pivots[col]
-            pc = p.layers[0][col]
-            vc = head[col]
-            g = gcd(pc, vc)
-            v = v.combine(pc // g, p, -(vc // g))
-        return v
-
-    def insert(v: _KaVector, cap: int) -> bool:
-        """True if the vector landed (new pivot or exact dependence)."""
-        for _ in range(cap):
-            v = v.valuation_strip()
-            if v.is_zero():
-                return True
-            v.content_reduce()
-            v = reduce_fibre(v)
-            if v.is_zero():
-                return True
-            head = v.layers[0]
-            lead = next((i for i, c in enumerate(head) if c), None)
-            if lead is not None:
-                v.content_reduce()
-                pivots[lead] = v
-                return True
-            # fibre collapsed: divide by a and try again
-        return False
-
-    deferred: List[_KaVector] = []
-    for v in vectors:
-        if len(pivots) == rank_target:
-            break
-        if not insert(v, cap=40):
-            deferred.append(v)
-    if len(pivots) < rank_target:
-        for v in deferred:
-            if len(pivots) == rank_target:
-                break
-            insert(v, cap=2000)
-    if len(pivots) != rank_target:
-        raise ArithmeticError(
-            f"limit piece has rank {len(pivots)}, expected {rank_target}"
-        )
-    return [pivots[col].layers[0][:] for col in sorted(pivots)]
+    if at in ("inf", "infinity"):
+        var = PARAM + 1
+    elif at in (0, "0"):
+        var = PARAM
+    else:
+        raise ValueError("limits are taken at 0 or at infinity")
+    gens = []
+    for g in filter(None, F.generators):
+        top = max(e[PARAM] for e in g.terms)
+        gens.append(Polynomial({e + (top - e[PARAM],): c for e, c in g.terms.items()}, NVARS + 2))
+    saturated = saturate_by_variable(Ideal(gens, NVARS + 2), var)
+    return Ideal(
+        (Polynomial(((e[:NVARS], c) for e, c in g.terms.items() if not e[var]), NVARS)
+         for g in saturated.gens),
+        NVARS,
+    )
 
 
-def _family_graded_vectors(F: ParamFamily, degree: int) -> List[_KaVector]:
-    monos = graded_monomial_basis(degree, NVARS)
-    index = {e: i for i, e in enumerate(monos)}
-    width = len(monos)
-    out = []
-    for g in F.generators:
-        gd = ParamFamily.geometric_degree(g)
-        den = 1
-        for c in g.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        int_terms = [(e, int(c * den)) for e, c in g.terms.items()]
-        if gd is None or gd > degree:
-            continue
-        top = max(e[PARAM] for e, _ in int_terms)
-        for m in monomials_of_degree(degree - gd, NVARS):
-            layers = [[0] * width for _ in range(top + 1)]
-            for e, c in int_terms:
-                col = index[monomial_mul(e[:NVARS], m)]
-                layers[e[PARAM]][col] += c
-            out.append(_KaVector(layers))
-    return out
-
-
-def limit_graded_piece(F: ParamFamily, degree: int, fiber: Optional[Ideal] = None) -> Subspace:
-    """Exact degree-d piece of the flat limit at a -> 0 (before the final
-    irrelevant saturation).  The generic rank is read off a fibre."""
-    from .hilbert import hilbert_function
-
-    if fiber is None:
-        fiber = next(
-            F.specialize(v) for v in (1, 2, 3, 5, 7) if _specializes(F, v)
-        )
-    width = count_monomials(degree, NVARS)
-    target = hilbert_function(fiber, degree)
-    rows = _limit_space(_family_graded_vectors(F, degree), width, target)
-    return Subspace(rows, width)
-
-
-def _specializes(F: ParamFamily, value) -> bool:
-    try:
-        F.specialize(value)
-        return True
-    except FamilyError:
-        return False
+def limit_graded_piece(F: ParamFamily, degree: int) -> Subspace:
+    """Degree-d piece of the flat limit at a -> 0, before the irrelevant saturation."""
+    return _special_fibre(F, 0).graded_piece(degree)
 
 
 @dataclass(frozen=True)
 class LimitData:
-    raw: Ideal          # generated by the limit graded pieces through the Gotzmann degree
+    raw: Ideal          # the special fibre's generators through the Gotzmann degree
     saturated: Ideal    # the Hilbert-scheme limit
     quotient_hp: HilbertPolynomial
 
 
-def _generic_quotient_hp(
-    F: ParamFamily, rng: random.Random
-) -> Tuple[HilbertPolynomial, Ideal]:
-    for _ in range(3):
-        values: List[Fraction] = []
-        fibers = []
-        hps = []
-        draws = 0
-        while len(values) < 3 and draws < 20:
-            draws += 1
-            v = Fraction(rng.randint(1, 999983))
-            if v in values:
-                continue
-            try:
-                fiber = F.specialize(v)
-            except FamilyError:
-                continue
-            hps.append(quotient_hilbert_polynomial(fiber))
-            fibers.append(fiber)
-            values.append(v)
-        if len(values) == 3 and hps[0] == hps[1] == hps[2]:
-            return hps[0], fibers[0]
-    raise FamilyError("family is not flat: quotient Hilbert polynomial varies with the parameter")
-
-
-def family_limit_data(F: ParamFamily, at=0, rng: Optional[random.Random] = None) -> LimitData:
-    if at in ("inf", "infinity"):
-        return family_limit_data(F.invert_parameter(), 0, rng)
-    if at not in (0, "0"):
-        raise ValueError("limits are taken at 0 or at infinity")
-    rng = rng if rng is not None else random.Random(97)
-    p, probe_fiber = _generic_quotient_hp(F, rng)
+def family_limit_data(F: ParamFamily, at=0) -> LimitData:
+    fibre = _special_fibre(F, at)
+    p = quotient_hilbert_polynomial(fibre)
     rho = gotzmann_number(p)
-    gens: List[Polynomial] = []
-    current: Optional[Ideal] = None
-    for d in range(rho + 1):
-        piece = limit_graded_piece(F, d, fiber=probe_fiber)
-        if piece.dim == 0:
-            continue
-        monos = graded_monomial_basis(d, NVARS)
-        index = {e: i for i, e in enumerate(monos)}
-        space = current.graded_piece(d) if current is not None else Subspace([], len(monos))
-        for row in piece.rows:
-            grown = space.extended([row])
-            if grown.dim > space.dim:
-                gens.append(Polynomial({monos[i]: c for i, c in enumerate(row) if c}, NVARS))
-                space = grown
-                current = Ideal(gens, NVARS)
-    raw = Ideal(gens, NVARS)
+    # the generators through the Gotzmann number already determine the
+    # saturation (Gotzmann persistence; the check below guards it), and
+    # fewer generators keep saturate_irrelevant small
+    raw = Ideal([g for g in fibre.gens if g.homogeneous_degree() <= rho], NVARS)
     saturated = saturate_irrelevant(raw)
     if quotient_hilbert_polynomial(saturated) != p:
         raise ArithmeticError("flat limit lost the quotient Hilbert polynomial")
     return LimitData(raw=raw, saturated=saturated, quotient_hp=p)
 
 
-def family_limit(F: ParamFamily, at=0, rng: Optional[random.Random] = None) -> Ideal:
+def family_limit(F: ParamFamily, at=0) -> Ideal:
     """The Hilbert-scheme limit of the family: saturate by the parameter,
     specialize, then saturate by the irrelevant ideal."""
-    return family_limit_data(F, at, rng).saturated
+    return family_limit_data(F, at).saturated
 
 
-def weight_limit(I: Ideal, weights: Sequence[int], at=0,
-                 rng: Optional[random.Random] = None) -> Ideal:
+def weight_limit(I: Ideal, weights: Sequence[int], at=0) -> Ideal:
     """Flat limit of the torus orbit of I under the weight action."""
     if len(weights) != NVARS or len(set(weights)) == 1:
         raise ValueError("weight vector must have one entry per variable, not all equal")
     if I.is_monomial():
         return Ideal([Polynomial.monomial(e) for e in I.monomial_generators()], I.nvars)
     F = weight_action_family(I, weights)
-    limit = family_limit(F, at, rng)
+    limit = family_limit(F, at)
     fixed = apply_torus(limit, weights, 2)
     if not equal(fixed, limit):
         raise ArithmeticError("weight limit is not fixed by the torus action")
@@ -476,7 +293,7 @@ def va_degeneration(I: Ideal, rng: Optional[random.Random] = None) -> Tuple[Para
             checked += 1
     if checked < 3:
         raise ArithmeticError("generic fibres failed the complete-intersection check")
-    limit = family_limit(family, 0, rng)
+    limit = family_limit(family, 0)
     if not equal(limit, I):
         raise ArithmeticError("limit of the complete-intersection family must recover the ideal")
     return family, limit
@@ -626,10 +443,9 @@ def _extract_case2(moved: Ideal) -> Tuple[Polynomial, Polynomial, Polynomial, Fr
     return h, ell1, ell2, alpha
 
 
-def rs_degeneration(I: Ideal, rng: Optional[random.Random] = None) -> DegenerationChain:
+def rs_degeneration(I: Ideal) -> DegenerationChain:
     """Degenerate a regularity-5 ideal into the regularity-6 stratum along the
     one-parameter families dictated by its normal form."""
-    rng = rng if rng is not None else random.Random(4001)
     report = classify(I)
     if report.stratum != "R5":
         raise ValueError(f"degeneration applies to the R5 stratum, got {report.stratum}")
@@ -641,17 +457,17 @@ def rs_degeneration(I: Ideal, rng: Optional[random.Random] = None) -> Degenerati
     from .strata import _linear_span_contains
 
     if not _linear_span_contains(L, ell):
-        return _rs_case1(I, ell, L, rng)
-    return _rs_case2(I, ell, L, rng)
+        return _rs_case1(I, ell, L)
+    return _rs_case2(I, ell, L)
 
 
-def _rs_case1(I: Ideal, ell, L, rng) -> DegenerationChain:
+def _rs_case1(I: Ideal, ell, L) -> DegenerationChain:
     moved, _ = _normalize_case1(I, ell, L)
     h, ell1, ell2 = _extract_case1(moved)
     inner = _case1_inner_change(h, ell1, ell2)
     normalized = Ideal([inner.apply(g) for g in moved.gens])
     family = _psi_sigma_family(normalized)
-    data = family_limit_data(family, at="inf", rng=rng)
+    data = family_limit_data(family, at="inf")
     limit_report = classify(data.saturated)
     step = DegenerationStep(
         family=family, at="inf", limit=data.saturated, report=limit_report, raw_limit=data.raw
@@ -675,14 +491,14 @@ def _case2_normalized(I: Ideal, ell, L) -> Ideal:
     return Ideal([change.apply(g) for g in I.gens])
 
 
-def _rs_case2(I: Ideal, ell, L, rng) -> DegenerationChain:
+def _rs_case2(I: Ideal, ell, L) -> DegenerationChain:
     x, y, z, t = variables()
     moved = _case2_normalized(I, ell, L)
     h, ell1, ell2, alpha = _extract_case2(moved)
     weights = (1, 0, 0, 0)
     if alpha != 0:
         family = weight_action_family(moved, weights, "scale the shared linear form")
-        data = family_limit_data(family, at="inf", rng=rng)
+        data = family_limit_data(family, at="inf")
         limit_report = classify(data.saturated)
         if limit_report.stratum != "R6":
             raise ArithmeticError("torus degeneration must land in the regularity-6 stratum")
@@ -709,7 +525,7 @@ def _rs_case2(I: Ideal, ell, L, rng) -> DegenerationChain:
     )
     bridge = build_stratum_ideal(shape)
     back_family = weight_action_family(bridge, weights, "undo the torus term")
-    back = family_limit_data(back_family, at=0, rng=rng)
+    back = family_limit_data(back_family, at=0)
     if not equal(back.saturated, moved):
         raise ArithmeticError("the bridge ideal must degenerate back to the input")
     step1 = DegenerationStep(
@@ -717,7 +533,7 @@ def _rs_case2(I: Ideal, ell, L, rng) -> DegenerationChain:
         raw_limit=back.raw,
     )
     family = weight_action_family(bridge, weights, "scale the shared linear form")
-    data = family_limit_data(family, at="inf", rng=rng)
+    data = family_limit_data(family, at="inf")
     limit_report = classify(data.saturated)
     if limit_report.stratum != "R6":
         raise ArithmeticError("torus degeneration must land in the regularity-6 stratum")

@@ -223,13 +223,19 @@ def _groebner(
             row[i] = Polynomial.constant(1 / scale, nvars)
             reps.append(row)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
     def lcm_of(i: int, j: int) -> Exponent:
         return monomial_lcm(basis[i].lm, basis[j].lm)
 
+    def strategy_key(i: int, j: int):
+        lcm = lcm_of(i, j)
+        return sum(lcm), order.key(lcm)
+
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # each pair's key is computed once; ties still fall to the set's order
+    keys = {p: strategy_key(*p) for p in pairs}
+
     while pairs:
-        i, j = min(pairs, key=lambda p: (sum(lcm_of(*p)), order.key(lcm_of(*p))))
+        i, j = min(pairs, key=keys.__getitem__)
         pairs.discard((i, j))
         lcm = lcm_of(i, j)
         if max_degree is not None and sum(lcm) > max_degree:
@@ -256,6 +262,7 @@ def _groebner(
         new = len(basis) - 1
         for k in range(new):
             pairs.add((k, new))
+            keys[k, new] = strategy_key(k, new)
     return _reduce_basis(basis, order, nvars, reps)
 
 

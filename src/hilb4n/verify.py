@@ -496,7 +496,7 @@ def run_rs(seed: int) -> List[VerificationItem]:
     for _ in range(count):
         I = sample_stratum("R5", rng)
         try:
-            chain = rs_degeneration(I, rng)
+            chain = rs_degeneration(I)
         except (ArithmeticError, ValueError):
             failures += 1
             continue
@@ -606,7 +606,7 @@ def run_properties(seed: int) -> List[VerificationItem]:
             I = sample_stratum("V", rng)
             family = weight_action_family(I, (1, 0, 0, 0))
         try:
-            limit = family_limit(family, 0, rng)
+            limit = family_limit(family, 0)
         except (ArithmeticError, ValueError):
             failures += 1
             continue

@@ -140,6 +140,16 @@ def test_order_only_on_gb(b3_file, capsys):
         assert exc.value.code == 2
 
 
+def test_seed_only_where_drawn(b3_file, tmp_path, capsys):
+    family = tmp_path / "family.ideal"
+    family.write_text("x*y + a*y^2; x*z - a*t^2\n")
+    assert main(["gin", "--ideal", b3_file, "--seed", "3"]) == 0
+    for command in (["hf", "--ideal", b3_file], ["limit", "--family", str(family)]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--seed", "3"])
+        assert exc.value.code == 2
+
+
 def test_negative_upto_is_usage_error(b3_file, capsys):
     assert main(["hf", "--ideal", b3_file, "--upto", "-1"]) == 2
     captured = capsys.readouterr()
