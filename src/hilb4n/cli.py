@@ -41,6 +41,7 @@ from .verify import DEFAULT_SEED, verify_paper
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
+MAX_UPTO = 1000  # the largest degree hf prints
 
 
 class CliError(Exception):
@@ -72,8 +73,8 @@ def _emit(args, payload: dict, text_lines: List[str]):
 
 
 def _cmd_hf(args) -> int:
-    if args.upto < 0:
-        raise CliError(f"--upto must be non-negative, got {args.upto}", USAGE_ERROR)
+    if not 0 <= args.upto <= MAX_UPTO:
+        raise CliError(f"--upto must lie in 0..{MAX_UPTO}, got {args.upto}", USAGE_ERROR)
     I = _read_ideal(args.ideal)
     values = [hilbert_function(I, n) for n in range(args.upto + 1)]
     _emit(args, {"values": values}, [" ".join(str(v) for v in values)])

@@ -9,6 +9,7 @@ strategy with both classical pair-elimination criteria.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +68,11 @@ class _Basis:
         self.tail = [(e, c) for e, c in poly.items() if e != self.lm]
 
 
+def _descending(key):
+    """The sort key (ints in nested tuples) negated: a min-heap pops the greatest."""
+    return -key if type(key) is int else tuple(map(_descending, key))
+
+
 def _normal_form_int(
     p: IntPoly,
     basis: Sequence[_Basis],
@@ -77,15 +83,19 @@ def _normal_form_int(
 
     Returns (r, m) with m * p = r + sum(q_i * basis_i) and no monomial of r
     divisible by a basis leading monomial.  When ``trace`` is given it must
-    hold one dict per basis element and receives the quotients q_i.
+    hold one dict per basis element and receives the quotients q_i.  Terms
+    are taken greatest first from a heap keyed once per monomial as it enters
+    ``work``; entries of monomials that have since cancelled are skipped.
     """
     key = order.key
     work = dict(p)
+    heap = [(_descending(key(e)), e) for e in work]
+    heapify(heap)
     remainder: IntPoly = {}
     mult = 1
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e, 0)
         if not c:
             continue
         for gi, g in enumerate(basis):
@@ -112,15 +122,27 @@ def _normal_form_int(
         shift = monomial_div(e, g.lm)
         for ge, gc in g.tail:
             k = monomial_mul(ge, shift)
+            if k not in work:
+                heappush(heap, (_descending(key(k)), k))
             nv = work.get(k, 0) - b * gc
             if nv:
                 work[k] = nv
-            elif k in work:
+            else:
                 del work[k]
         if trace is not None:
             q = trace[gi]
             q[shift] = q.get(shift, 0) + b
     return remainder, mult
+
+
+class _Prepared(tuple):
+    """Basis polynomials whose integer forms are built once, for a batch of
+    ``normal_form_poly`` calls under one order."""
+
+    def __new__(cls, basis_polys: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX):
+        self = super().__new__(cls, basis_polys)
+        self.order, self.basis = order, [_Basis(_to_int_poly(g)[0], order) for g in basis_polys if g]
+        return self
 
 
 def normal_form_poly(
@@ -130,8 +152,9 @@ def normal_form_poly(
     fi, scale = _to_int_poly(f)
     if not fi:
         return f
-    basis = [_Basis(_to_int_poly(g)[0], order) for g in basis_polys if g]
-    r, mult = _normal_form_int(fi, basis, order)
+    if not (isinstance(basis_polys, _Prepared) and basis_polys.order == order):
+        basis_polys = _Prepared(basis_polys, order)
+    r, mult = _normal_form_int(fi, basis_polys.basis, order)
     return _as_poly(r, f.nvars, scale / mult)
 
 

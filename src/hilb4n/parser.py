@@ -3,7 +3,8 @@
 Grammar: generators are separated by ';' or newlines; a generator is a signed
 sum of terms c*x^e*y^f*... with an optional rational coefficient (13, -2/5)
 and optional ^1 exponents.  Variables are fixed names; the family parameter
-'a' is admitted only where a caller allows it.  Errors carry line and column.
+'a' is admitted only where a caller allows it.  A variable's exponent in a
+term may not exceed MAX_EXPONENT.  Errors carry line and column.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .hilbert import HilbertPolynomial, format_hilbert_polynomial
 from .ideals import Ideal
 from .poly import FAMILY_VARS, NVARS, RING_VARS, Polynomial, format_polynomial
+
+# far above every degree the paper needs; a larger one would only make the
+# engine run without bound
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -175,7 +180,14 @@ class _Parser:
                         self.fail("expected an integer exponent after '^'")
                     self.advance()
                     power = int(p.text)
-                exps[self.index[tok.text]] += power
+                var = self.index[tok.text]
+                exps[var] += power
+                if exps[var] > MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponent of {tok.text} exceeds the cap {MAX_EXPONENT}",
+                        tok.line,
+                        tok.column,
+                    )
                 saw_factor = True
             else:
                 self.fail(f"expected a term, found {tok.text!r}")

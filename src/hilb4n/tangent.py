@@ -15,7 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import List, Optional, Tuple
 
 from .gin import is_saturated
 from .hilbert import quotient_hilbert_polynomial, regularity
@@ -106,29 +107,22 @@ def tangent_dimension(I: Ideal) -> TangentReport:
     gens = minimal_generators(I)
     degrees = tuple(g.homogeneous_degree() for g in gens)
     syzygies = syzygies_of(gens)
-    gb = I.groebner_basis()
+    gb = _gb._Prepared(I.groebner_basis())  # one integer form for every normal form below
     in_gens = initial_ideal(I).monomial_generators()
     degree_r = max(regularity(I), max(degrees))
     ell = _nonzerodivisor_form(I)
 
     # image of each needed section space inside degree R, modulo I
-    section_bases: Dict[int, List[Polynomial]] = {}
-    for d in sorted(set(degrees)):
-        section_bases[d] = _section_space(I, ell, degree_r - d, degree_r, in_gens, gb)
+    section_bases = {d: _section_space(I, ell, degree_r - d, degree_r, in_gens, gb)
+                     for d in sorted(set(degrees))}
     blocks = [section_bases[d] for d in degrees]
-    offsets = [0]
-    for b in blocks:
-        offsets.append(offsets[-1] + len(b))
+    offsets = [0, *accumulate(len(b) for b in blocks)]
     total_unknowns = offsets[-1]
     shift = degree_r - min(degrees)  # uniform multiplier exponent
 
     rows: List[List[Fraction]] = []
     for syz in syzygies:
-        syz_degree = None
-        for s, d in zip(syz, degrees):
-            if s and not s.is_zero():
-                syz_degree = s.homogeneous_degree() + d
-                break
+        syz_degree = next((s.homogeneous_degree() + d for s, d in zip(syz, degrees) if s), None)
         if syz_degree is None:
             continue
         target_degree = syz_degree + shift
@@ -136,7 +130,7 @@ def tangent_dimension(I: Ideal) -> TangentReport:
         index = {m: i for i, m in enumerate(target)}
         block_rows = [[Fraction(0)] * total_unknowns for _ in target]
         for gi, s in enumerate(syz):
-            if not s or s.is_zero():
+            if not s:
                 continue
             # s_i * l^shift * phi_i = s_i * l^(shift - k_i) * w_i with k_i = R - d_i
             multiplier = s * ell ** (shift - (degree_r - degrees[gi]))
@@ -147,12 +141,8 @@ def tangent_dimension(I: Ideal) -> TangentReport:
                     block_rows[index[e]][col] += c
         rows.extend(block_rows)
 
-    if not rows:
-        dimension = total_unknowns
-    else:
-        dimension = len(kernel_basis(rows))
     return TangentReport(
-        dimension=dimension,
+        dimension=len(kernel_basis(rows)) if rows else total_unknowns,
         generator_degrees=degrees,
         constraint_count=len(rows),
         warning=warning,

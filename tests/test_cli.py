@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from hilb4n.cli import main
+from hilb4n.cli import MAX_UPTO, main
+from hilb4n.parser import MAX_EXPONENT
 
 
 @pytest.fixture
@@ -170,3 +171,23 @@ def test_hp_without_gotzmann_decomposition_is_usage_error(command, hp, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Gotzmann decomposition" in captured.err
+
+
+def test_huge_upto_is_usage_error(b3_file, capsys):
+    assert main(["hf", "--ideal", b3_file, "--upto", str(10**12)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--upto must lie in 0..{MAX_UPTO}" in captured.err
+    assert main(["hf", "--ideal", b3_file, "--upto", str(MAX_UPTO)]) == 0
+
+
+@pytest.mark.parametrize("text", ["x^100000", "x^40*y*x^40", "x*y; y^65"])
+def test_huge_exponent_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "huge.ideal"
+    path.write_text(text)
+    assert main(["hf", "--ideal", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds the cap {MAX_EXPONENT}" in captured.err
+    path.write_text(f"x^{MAX_EXPONENT}")
+    assert main(["hf", "--ideal", str(path), "--upto", "2"]) == 0

@@ -1,6 +1,13 @@
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilb4n.groebner import (
+    _Basis,
+    _normal_form_int,
+    _Prepared,
+    _to_int_poly,
     buchberger,
     buchberger_with_reps,
     division_quotients,
@@ -8,8 +15,15 @@ from hilb4n.groebner import (
     normal_form_poly,
     reduce_by_linear_forms,
 )
-from hilb4n.orders import DEGREVLEX, LEX
-from hilb4n.poly import Polynomial, monomial_divides, random_form, variables
+from hilb4n.orders import DEGREVLEX, LEX, WeightOrder, elimination_order
+from hilb4n.poly import (
+    Polynomial,
+    monomial_div,
+    monomial_divides,
+    monomial_mul,
+    random_form,
+    variables,
+)
 
 x, y, z, t = variables()
 B3 = [x * x, x * y, y**3]
@@ -29,7 +43,7 @@ def _is_reduced_basis(gb, order=DEGREVLEX):
 
 
 def _spoly(f, g, order=DEGREVLEX):
-    from hilb4n.poly import monomial_div, monomial_lcm
+    from hilb4n.poly import monomial_lcm
 
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = monomial_lcm(lf, lg)
@@ -144,3 +158,112 @@ def test_reduce_by_linear_forms_consistency(rng):
     )
     direct = sorted(buchberger(gens), key=lambda p: DEGREVLEX.key(p.leading_monomial()))
     assert combined == direct
+
+
+# ---------------------------------------------------------------------------
+# the heap-ordered normal form against the max-scan it replaced
+
+ORDERS = [DEGREVLEX, LEX, WeightOrder((1, 3, 0, 2), DEGREVLEX), elimination_order(1)]
+
+
+def reference_normal_form_int(p, basis, order, trace=None, reappeared=None):
+    """The max-scan normal form: each step takes max(work, key=order.key).
+    ``reappeared`` collects monomials that cancel and later come back."""
+    key = order.key
+    work = dict(p)
+    remainder = {}
+    mult = 1
+    cancelled = set()
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        if not c:
+            continue
+        for gi, g in enumerate(basis):
+            if monomial_divides(g.lm, e):
+                break
+        else:
+            remainder[e] = c
+            continue
+        gg = gcd(c, g.lc)
+        a = g.lc // gg
+        b = c // gg
+        if a != 1:
+            if a < 0:
+                a, b = -a, -b
+            mult *= a
+            for k in work:
+                work[k] *= a
+            for k in remainder:
+                remainder[k] *= a
+            if trace is not None:
+                for q in trace:
+                    for k in q:
+                        q[k] *= a
+        shift = monomial_div(e, g.lm)
+        for ge, gc in g.tail:
+            k = monomial_mul(ge, shift)
+            if reappeared is not None and k in cancelled and k not in work:
+                reappeared.add(k)
+            nv = work.get(k, 0) - b * gc
+            if nv:
+                work[k] = nv
+            elif k in work:
+                del work[k]
+                cancelled.add(k)
+        if trace is not None:
+            q = trace[gi]
+            q[shift] = q.get(shift, 0) + b
+    return remainder, mult
+
+
+def _both_normal_forms(p, gens, order):
+    """(heap result, reference result), each as (r, mult, trace) with the
+    dicts listed in insertion order."""
+    basis = [_Basis(_to_int_poly(g)[0], order) for g in gens]
+    pi = _to_int_poly(p)[0]
+    out = []
+    for nf in (_normal_form_int, reference_normal_form_int):
+        trace = [dict() for _ in basis]
+        r, mult = nf(pi, basis, order, trace)
+        out.append((list(r.items()), mult, [list(q.items()) for q in trace]))
+    return out
+
+
+def test_heap_normal_form_with_a_reappearing_monomial():
+    p = x * x + x * z - y * z
+    gens = [y - x, y * z - y * y]
+    reappeared = set()
+    basis = [_Basis(_to_int_poly(g)[0], DEGREVLEX) for g in gens]
+    reference_normal_form_int(_to_int_poly(p)[0], basis, DEGREVLEX, None, reappeared)
+    assert reappeared == {(0, 1, 1, 0)}  # y*z cancels, then comes back
+    for order in ORDERS:
+        heap, reference = _both_normal_forms(p, gens, order)
+        assert heap == reference
+
+
+MONOMIALS = st.tuples(*[st.integers(0, 3)] * 4)
+INT_POLYS = st.dictionaries(MONOMIALS, st.integers(-5, 5).filter(bool), min_size=1, max_size=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(INT_POLYS, st.lists(INT_POLYS, min_size=1, max_size=4), st.sampled_from(ORDERS))
+def test_heap_normal_form_equals_max_scan(p, gens, order):
+    """Identical (remainder, multiplier, quotients) on bases that are not
+    Groebner bases, for every order."""
+    polys = [Polynomial({e: c for e, c in g.items()}, 4) for g in gens]
+    heap, reference = _both_normal_forms(Polynomial(p, 4), polys, order)
+    assert heap == reference
+
+
+def test_prepared_basis_gives_the_same_normal_forms(rng):
+    gens = [random_form(rng, 2), random_form(rng, 2), random_form(rng, 3)]
+    gb = buchberger(gens)
+    prepared = _Prepared(gb)
+    assert prepared == tuple(gb)
+    for _ in range(5):
+        f = random_form(rng, 4)
+        assert normal_form_poly(f, prepared) == normal_form_poly(f, gb)
+    # a basis prepared for one order is rebuilt for another
+    f = random_form(rng, 3)
+    assert normal_form_poly(f, prepared, LEX) == normal_form_poly(f, gb, LEX)
