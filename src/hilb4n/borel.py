@@ -17,9 +17,9 @@ from .hilbert import (
     hilbert_function,
     quotient_hilbert_polynomial,
 )
-from .ideals import Ideal, monomial_ideal
+from .ideals import Ideal, monomial_ideal, saturate_irrelevant
 from .orders import DEGREVLEX, Exponent
-from .poly import NVARS, Polynomial, count_monomials, monomials_of_degree
+from .poly import NVARS, Polynomial, count_monomials, monomial_divides, monomials_of_degree
 
 
 def _swaps_up(m: Exponent) -> List[Exponent]:
@@ -42,8 +42,6 @@ def is_strongly_stable(M: Ideal) -> bool:
     if not M.is_monomial():
         raise ValueError("strong stability is defined for monomial ideals")
     gens = M.monomial_generators()
-    from .poly import monomial_divides
-
     for m in gens:
         for up in _swaps_up(m):
             if not any(monomial_divides(g, up) for g in gens):
@@ -188,8 +186,6 @@ def lex_ideal(p: HilbertPolynomial, nvars: int = NVARS) -> Ideal:
         raise ValueError("not a quotient Hilbert polynomial")
     monos = sorted(monomials_of_degree(rho, nvars), reverse=True)
     segment = monos[:size]
-    from .ideals import saturate_irrelevant
-
     return saturate_irrelevant(monomial_ideal(segment, nvars))
 
 

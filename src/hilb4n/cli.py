@@ -165,11 +165,7 @@ def _cmd_tangent(args) -> int:
         "generator_degrees": list(report.generator_degrees),
         "constraint_count": report.constraint_count,
     }
-    lines = [f"tangent dimension: {report.dimension}"]
-    if report.warning:
-        payload["warning"] = report.warning
-        lines.append(f"warning: {report.warning}")
-    _emit(args, payload, lines)
+    _emit(args, payload, [f"tangent dimension: {report.dimension}"])
     return 0
 
 

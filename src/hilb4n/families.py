@@ -20,17 +20,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hilbert import HilbertPolynomial, gotzmann_number, quotient_hilbert_polynomial
 from .ideals import (
+    FormSpace,
     Ideal,
-    _coords,
     divide_exact,
-    graded_monomial_basis,
     equal,
     saturate_by_variable,
     saturate_irrelevant,
 )
-from .linalg import Subspace
+from .linalg import Subspace, solve
 from .orders import Exponent
-from .poly import NVARS, LinearChange, Polynomial, variables
+from .poly import NVARS, LinearChange, Polynomial, monomial_divides, variables
 from .strata import (
     R5Shape,
     StratumReport,
@@ -38,7 +37,6 @@ from .strata import (
     classify,
     factor_quadric_net,
     gcd_forms,
-    graded_basis_polynomials,
 )
 
 PARAM = NVARS  # index of the parameter variable in the extended ring
@@ -218,7 +216,7 @@ def r3prime_data(I: Ideal) -> Tuple[Polynomial, Polynomial, Polynomial, Polynomi
                                     Polynomial, Polynomial]:
     """Extract (ell, ell1, ell2, F, p, q) with I = (ell*ell1, ell*ell2, F) and
     F = ell1*p + ell2*q, neither p nor q divisible by ell."""
-    quadrics = graded_basis_polynomials(I, 2)
+    quadrics = FormSpace(I.gens, 2).basis()
     if len(quadrics) != 2:
         raise FamilyError("expected two quadric generators")
     ell = gcd_forms(quadrics[0], quadrics[1])
@@ -227,32 +225,19 @@ def r3prime_data(I: Ideal) -> Tuple[Polynomial, Polynomial, Polynomial, Polynomi
     ell1 = divide_exact(quadrics[0], ell)
     ell2 = divide_exact(quadrics[1], ell)
     # a cubic generator outside P1 * I2
-    cubic_monos = graded_monomial_basis(3, NVARS)
-    index = {e: i for i, e in enumerate(cubic_monos)}
-    from_quadrics = Ideal([quadrics[0], quadrics[1]]).graded_piece(3)
-    cubic = None
-    for candidate in graded_basis_polynomials(I, 3):
-        residue = from_quadrics.reduce(_coords(candidate, index))
-        if any(residue):
-            cubic = Polynomial({cubic_monos[i]: c for i, c in enumerate(residue) if c}, NVARS)
-            break
+    from_quadrics = FormSpace(quadrics, 3)
+    residues = (from_quadrics.reduce(c) for c in FormSpace(I.gens, 3).basis())
+    cubic = next(filter(None, residues), None)
     if cubic is None:
         raise FamilyError("no cubic generator beyond the quadrics")
     # solve F = ell1 * p + ell2 * q
-    quad_monos = graded_monomial_basis(2, NVARS)
-    columns = []
-    for form in (ell1, ell2):
-        for m in quad_monos:
-            columns.append(_coords(form.mul_monomial(m), index))
-    matrix = [[columns[j][i] for j in range(len(columns))] for i in range(len(cubic_monos))]
-    from .linalg import solve
-
-    sol = solve(matrix, _coords(cubic, index))
+    cubics, quads = FormSpace((), 3), FormSpace((), 2)
+    columns = [cubics.coords(form.mul_monomial(m)) for form in (ell1, ell2) for m in quads.monos]
+    sol = solve(list(zip(*columns)), cubics.coords(cubic))
     if sol is None:
         raise FamilyError("cubic generator does not lie in (ell1, ell2)")
-    half = len(quad_monos)
-    p = Polynomial({quad_monos[i]: sol[i] for i in range(half)}, NVARS)
-    q = Polynomial({quad_monos[i]: sol[half + i] for i in range(half)}, NVARS)
+    half = len(quads.monos)
+    p, q = quads.form(sol[:half]), quads.form(sol[half:])
     # adjust along the Koszul relation so neither piece is divisible by ell
     for s in _basis_search_forms():
         p2 = p + ell2 * s
@@ -320,31 +305,21 @@ class DegenerationChain:
 def _forms_to_change(rows: Sequence[Polynomial]) -> LinearChange:
     """The change of coordinates sending the i-th given linear form to the
     i-th variable (forms transform by v -> v A, so A inverts the row matrix)."""
-    matrix = []
-    for f in rows:
-        matrix.append(
-            [f.coefficient(tuple(1 if j == i else 0 for j in range(NVARS))) for i in range(NVARS)]
-        )
-    return LinearChange(matrix).inverse()
+    linear = FormSpace((), 1)
+    return LinearChange([linear.coords(f) for f in rows]).inverse()
 
 
 def _graded_residues(I: Ideal, degree: int, modulus: Ideal) -> List[Polynomial]:
     """Basis of the image of I_degree in P_degree modulo a monomial ideal."""
     gens = modulus.monomial_generators()
-    from .poly import monomial_divides
-
-    monos = graded_monomial_basis(degree, NVARS)
-    index = {e: i for i, e in enumerate(monos)}
-    vectors = []
-    for b in graded_basis_polynomials(I, degree):
-        filtered = Polynomial(
+    filtered = [
+        Polynomial(
             {e: c for e, c in b.terms.items() if not any(monomial_divides(g, e) for g in gens)},
             NVARS,
         )
-        if filtered:
-            vectors.append(_coords(filtered, index))
-    space = Subspace(vectors, len(monos))
-    return [Polynomial({monos[i]: c for i, c in enumerate(row) if c}, NVARS) for row in space.rows]
+        for b in FormSpace(I.gens, degree).basis()
+    ]
+    return FormSpace(filtered, degree).basis()
 
 
 def _normalize_case1(I: Ideal, ell: Polynomial, L: List[Polynomial]) -> Tuple[Ideal, LinearChange]:
@@ -383,18 +358,14 @@ def _case1_inner_change(h, ell1, ell2) -> LinearChange:
     """
     t_form = variables()[3]
     x4 = (4, 0, 0, 0)
-    from .strata import _independent_linear
-
     small = (0, 1, -1, 2, -2, 3, -3, 4, -4)
     for d in small:
         second = ell2 + ell1.scale(d) if d else ell2
         first = ell1
-        axis = next(
-            v for v in variables()[:3] if _independent_linear([first, second, v])
-        )
+        axis = next(v for v in variables()[:3] if FormSpace([first, second, v], 1).dim == 3)
         for shift in small:
             third = axis + first.scale(shift) if shift else axis
-            if not _independent_linear([first, second, third, t_form]):
+            if FormSpace([first, second, third, t_form], 1).dim != 4:
                 continue
             change = _forms_to_change([first, second, third, t_form])
             h2 = change.apply(h)
@@ -449,14 +420,11 @@ def rs_degeneration(I: Ideal) -> DegenerationChain:
     report = classify(I)
     if report.stratum != "R5":
         raise ValueError(f"degeneration applies to the R5 stratum, got {report.stratum}")
-    quadrics = graded_basis_polynomials(I, 2)
-    factored = factor_quadric_net(quadrics)
+    factored = factor_quadric_net(FormSpace(I.gens, 2).basis())
     if factored is None:
         raise FamilyError("regularity-5 quadrics must factor through a linear form")
     ell, L = factored
-    from .strata import _linear_span_contains
-
-    if not _linear_span_contains(L, ell):
+    if not FormSpace(L, 1).contains(ell):
         return _rs_case1(I, ell, L)
     return _rs_case2(I, ell, L)
 
@@ -478,15 +446,9 @@ def _rs_case1(I: Ideal, ell, L) -> DegenerationChain:
 
 
 def _case2_normalized(I: Ideal, ell, L) -> Ideal:
-    completion = []
-    selected = [ell]
-    from .strata import _independent_linear
-
-    for b in L:
-        if _independent_linear(selected + [b]):
-            selected.append(b)
-            completion.append(b)
-    w = next(v for v in variables() if _independent_linear(selected + [v]))
+    completion = R5Shape.frame_completion(ell, L)
+    selected = FormSpace([ell] + completion, 1)
+    w = next(v for v in variables() if not selected.contains(v))
     change = _forms_to_change([ell] + completion + [w])
     return Ideal([change.apply(g) for g in I.gens])
 
@@ -508,10 +470,9 @@ def _rs_case2(I: Ideal, ell, L) -> DegenerationChain:
         )
         return DegenerationChain(steps=(step,), terminal=data.saturated)
     # alpha = 0: route through the auxiliary ideal carrying an x*t^4 term
-    from .strata import _linear_span_contains
-
-    if not _linear_span_contains([y, z], ell2):
-        if _linear_span_contains([y, z], ell1):
+    plane = FormSpace([y, z], 1)
+    if not plane.contains(ell2):
+        if plane.contains(ell1):
             ell1, ell2 = ell2, ell1
         else:
             # combine the cofactors to land the second one in <y, z>

@@ -13,11 +13,12 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Subspace
-from .orders import DEGREVLEX, Exponent, MonomialOrder, elimination_order
+from .orders import DEGREVLEX, DegRevLex, Exponent, MonomialOrder, elimination_order
 from .poly import (
     NVARS,
+    LinearChange,
     Polynomial,
-    count_monomials,
+    format_polynomial,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -79,17 +80,7 @@ class Ideal:
     def graded_piece(self, n: int) -> Subspace:
         """Degree-n piece of the ideal as a subspace of P_n in the monomial
         coordinate basis (degrevlex-descending)."""
-        monos = graded_monomial_basis(n, self.nvars)
-        index = {e: i for i, e in enumerate(monos)}
-        vectors = []
-        for g in self.gens:
-            d = g.homogeneous_degree()
-            if d is None or d > n:
-                continue
-            for m in monomials_of_degree(n - d, self.nvars):
-                shifted = g.mul_monomial(m)
-                vectors.append(_coords(shifted, index))
-        return Subspace(vectors, len(monos))
+        return FormSpace(self.gens, n, self.nvars).space
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and equal(self, other)
@@ -99,21 +90,73 @@ class Ideal:
         return hash(self.groebner_basis(DEGREVLEX))
 
     def __repr__(self):
-        from .poly import format_polynomial
-
         inner = ", ".join(format_polynomial(g) for g in self.gens) or "0"
         return f"Ideal({inner})"
 
 
-def _coords(p: Polynomial, index: Dict[Exponent, int]) -> List[Fraction]:
-    v = [Fraction(0)] * len(index)
-    for e, c in p.terms.items():
-        v[index[e]] = c
-    return v
-
-
 def graded_monomial_basis(n: int, nvars: int) -> List[Exponent]:
     return sorted(monomials_of_degree(n, nvars), key=DEGREVLEX.key, reverse=True)
+
+
+class FormSpace:
+    """The degree-d piece of the ideal the homogeneous forms ``gens``
+    generate; for forms of degree d, simply their span.
+
+    The piece is held as ``space``, a ``Subspace`` in the coordinates of
+    ``graded_monomial_basis(degree, nvars)``.  This is the one place where a
+    form becomes a coefficient vector and a row becomes a form.
+    """
+
+    __slots__ = ("monos", "nvars", "_index", "space")
+
+    def __init__(self, gens: Iterable[Polynomial], degree: int, nvars: int = NVARS):
+        self.monos = graded_monomial_basis(degree, nvars)
+        self.nvars = nvars
+        self._index = {e: i for i, e in enumerate(self.monos)}
+        vectors = []
+        for g in gens:
+            if g.is_zero():
+                continue
+            d = g.homogeneous_degree()
+            if d is None:
+                raise ValueError(f"generator is not homogeneous: {g!r}")
+            if d <= degree:
+                vectors.extend(
+                    self.coords(g.mul_monomial(m)) for m in monomials_of_degree(degree - d, nvars)
+                )
+        self.space = Subspace(vectors, len(self.monos))
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def coords(self, f: Polynomial) -> List[Fraction]:
+        """Coefficient vector of a degree-d form."""
+        v = [Fraction(0)] * len(self.monos)
+        for e, c in f.terms.items():
+            v[self._index[e]] = c
+        return v
+
+    def form(self, row: Sequence) -> Polynomial:
+        """The degree-d form with the given coefficient vector."""
+        return Polynomial({m: c for m, c in zip(self.monos, row) if c}, self.nvars)
+
+    def basis(self) -> List[Polynomial]:
+        """The forms of the reduced row echelon basis."""
+        return [self.form(row) for row in self.space.rows]
+
+    def contains(self, f: Polynomial) -> bool:
+        return self.space.contains(self.coords(f))
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """The exact residue of f modulo the space (zero iff f is a member)."""
+        return self.form(self.space.reduce(self.coords(f)))
+
+    def add(self, f: Polynomial) -> bool:
+        """Extend the space by f; True when it grew."""
+        dim = self.space.dim
+        self.space = self.space.extended([self.coords(f)])
+        return self.space.dim > dim
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +203,6 @@ def groebner_basis(
     if all(g.is_monomial() for g in gens):
         monic = [g.leading_monomial() for g in gens]
         return [Polynomial.monomial(e) for e in minimalize_monomials(monic)]
-    from .orders import DegRevLex
-
     if isinstance(order, DegRevLex):
         linear, rest = _gb.reduce_by_linear_forms(gens)
         if linear and rest:
@@ -206,17 +247,8 @@ def minimal_generators(I: Ideal) -> List[Polynomial]:
     degrees = sorted({g.homogeneous_degree() for g in gb})
     kept: List[Polynomial] = []
     for d in degrees:
-        lower = Ideal(kept, I.nvars).graded_piece(d) if kept else Subspace([], count_monomials(d, I.nvars))
-        monos = graded_monomial_basis(d, I.nvars)
-        index = {e: i for i, e in enumerate(monos)}
-        space = lower
-        for g in gb:
-            if g.homogeneous_degree() != d:
-                continue
-            grown = space.extended([_coords(g, index)])
-            if grown.dim > space.dim:
-                kept.append(g)
-                space = grown
+        space = FormSpace(kept, d, I.nvars)
+        kept.extend([g for g in gb if g.homogeneous_degree() == d and space.add(g)])
     return kept
 
 
@@ -349,10 +381,8 @@ def _as_variable(f: Polynomial) -> Optional[int]:
 
 def _linear_to_last_variable(f: Polynomial):
     """Invertible change sending the linear form f to the last variable."""
-    from .poly import LinearChange
-
     n = f.nvars
-    coeffs = [f.coefficient(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
+    coeffs = FormSpace((), 1, n).coords(f)
     lead = next(i for i, c in enumerate(coeffs) if c)
     rows = []
     for i in range(n):

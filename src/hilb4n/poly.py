@@ -313,16 +313,6 @@ class Polynomial:
         pad = (0,) * extra
         return Polynomial({e + pad: c for e, c in self.terms.items()}, self.nvars + extra)
 
-    def contract(self, target_nvars: int) -> "Polynomial":
-        """Drop trailing variables, which must not occur."""
-        cut = self.nvars - target_nvars
-        out = {}
-        for e, c in self.terms.items():
-            if any(e[target_nvars:]):
-                raise ValueError("polynomial involves a dropped variable")
-            out[e[:target_nvars]] = c
-        return Polynomial(out, target_nvars)
-
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
 

@@ -20,19 +20,15 @@ from .hilbert import (
     quotient_hilbert_polynomial,
     regularity,
 )
-from .ideals import (
-    Ideal,
-    _coords,
-    divide_exact,
-    graded_monomial_basis,
-    intersect,
-)
-from .linalg import Subspace, rank
+from .ideals import FormSpace, Ideal, divide_exact, intersect
+from .linalg import rank
 from .poly import (
     NVARS,
     Polynomial,
     count_monomials,
     linear_form,
+    monomial_gcd,
+    monomials_of_degree,
     random_form,
     variables,
 )
@@ -58,36 +54,10 @@ def _require(cond: bool, clause: str):
         raise ShapeError(clause)
 
 
-def _span_contains(forms: Sequence[Polynomial], f: Polynomial, degree: int) -> bool:
-    if f.is_zero():
-        return True
-    space = Ideal(list(forms)).graded_piece(degree) if forms else None
-    monos = graded_monomial_basis(degree, f.nvars)
-    index = {e: i for i, e in enumerate(monos)}
-    if space is None:
-        return False
-    return space.contains(_coords(f, index))
-
-
-def _linear_span_contains(forms: Sequence[Polynomial], f: Polynomial) -> bool:
-    monos = graded_monomial_basis(1, f.nvars)
-    index = {e: i for i, e in enumerate(monos)}
-    space = Subspace([_coords(g, index) for g in forms], len(monos))
-    return space.contains(_coords(f, index))
-
-
-def _independent_linear(forms: Sequence[Polynomial]) -> bool:
-    monos = graded_monomial_basis(1, forms[0].nvars)
-    index = {e: i for i, e in enumerate(monos)}
-    return rank([_coords(g, index) for g in forms]) == len(forms)
-
-
 def _subring_contains(frame: Sequence[Polynomial], f: Polynomial, degree: int) -> bool:
     """Membership of a degree-d form in the subring generated by linear forms."""
     if f.is_zero():
         return True
-    from .poly import monomials_of_degree
-
     products = []
     for e in monomials_of_degree(degree, len(frame)):
         p = Polynomial.constant(1, f.nvars)
@@ -95,10 +65,7 @@ def _subring_contains(frame: Sequence[Polynomial], f: Polynomial, degree: int) -
             for _ in range(k):
                 p = p * form
         products.append(p)
-    monos = graded_monomial_basis(degree, f.nvars)
-    index = {e: i for i, e in enumerate(monos)}
-    space = Subspace([_coords(p, index) for p in products], len(monos))
-    return space.contains(_coords(f, index))
+    return FormSpace(products, degree, f.nvars).contains(f)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +77,6 @@ def gcd_forms(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise ValueError("gcd of forms requires nonzero inputs")
     if f.is_monomial() and g.is_monomial():
-        from .poly import monomial_gcd
-
         e = monomial_gcd(f.leading_monomial(), g.leading_monomial())
         return Polynomial.monomial(e)
     inter = intersect(Ideal([f]), Ideal([g]))
@@ -133,9 +98,7 @@ def factor_quadric_net(
     basis = list(quadrics)
     if len(basis) != 3:
         raise ValueError("a quadric net is given by three independent quadrics")
-    monos = graded_monomial_basis(2, basis[0].nvars)
-    index = {e: i for i, e in enumerate(monos)}
-    if rank([_coords(q, index) for q in basis]) != 3:
+    if FormSpace(basis, 2, basis[0].nvars).dim != 3:
         raise ValueError("quadrics are not independent")
     for i in range(3):
         for j in range(i + 1, 3):
@@ -147,7 +110,7 @@ def factor_quadric_net(
                 quotients = [divide_exact(q, g) for q in basis]
                 if any(q is None for q in quotients):
                     return None
-                if not _independent_linear(quotients):
+                if FormSpace(quotients, 1).dim != 3:
                     raise ArithmeticError("factored net must give independent linear forms")
                 return g.monic(), [q.monic() for q in quotients]
     raise ArithmeticError("independent quadrics cannot be pairwise proportional")
@@ -180,10 +143,10 @@ class R3PrimeShape:
     def validate(self):
         for name, form in (("ell", self.ell), ("ell1", self.ell1), ("ell2", self.ell2)):
             _require(form.homogeneous_degree() == 1, f"{name} must be a nonzero linear form")
-        _require(_independent_linear([self.ell1, self.ell2]), "ell1, ell2 must be independent")
+        _require(FormSpace([self.ell1, self.ell2], 1).dim == 2, "ell1, ell2 must be independent")
         _require(self.cubic.homogeneous_degree() == 3, "the extra generator must be a cubic")
         _require(
-            _span_contains([self.ell1, self.ell2], self.cubic, 3),
+            FormSpace([self.ell1, self.ell2], 3).contains(self.cubic),
             "the cubic must lie in (ell1, ell2)",
         )
         _require(divide_exact(self.cubic, self.ell) is None, "the cubic must not be divisible by ell")
@@ -204,15 +167,15 @@ class R4Shape:
     def validate(self):
         for name, form in (("ell", self.ell), ("ell1", self.ell1), ("ell2", self.ell2)):
             _require(form.homogeneous_degree() == 1, f"{name} must be a nonzero linear form")
-        _require(_independent_linear([self.ell1, self.ell2]), "ell1, ell2 must be independent")
+        _require(FormSpace([self.ell1, self.ell2], 1).dim == 2, "ell1, ell2 must be independent")
         _require(self.q.homogeneous_degree() == 2, "q must be a quadric")
         _require(
-            not _span_contains([self.ell1, self.ell2], self.q, 2),
+            not FormSpace([self.ell1, self.ell2], 2).contains(self.q),
             "q must not lie in (ell1, ell2)",
         )
         _require(self.p.homogeneous_degree() == 4, "p must be a quartic")
         _require(
-            _span_contains([self.ell1, self.ell2, self.q], self.p, 4),
+            FormSpace([self.ell1, self.ell2, self.q], 4).contains(self.p),
             "p must lie in (ell1, ell2, q)",
         )
         _require(divide_exact(self.p, self.ell) is None, "p must not be divisible by ell")
@@ -232,40 +195,39 @@ class R5Shape:
     def complement_frame(self) -> List[Polynomial]:
         if self.case == 1:
             return list(self.L)
-        selected = [self.ell]
-        completion: List[Polynomial] = []
-        for b in self.L:
-            if _independent_linear(selected + [b]):
-                selected.append(b)
-                completion.append(b)
+        completion = R5Shape.frame_completion(self.ell, self.L)
         return completion + ([self.w] if self.w is not None else [])
+
+    @staticmethod
+    def frame_completion(ell: Polynomial, L: Sequence[Polynomial]) -> List[Polynomial]:
+        """The forms of L, in order, that each stay independent of ell and of
+        the forms kept before them: the case-2 completion of ell inside L."""
+        span = FormSpace([ell], 1)
+        return [b for b in L if span.add(b)]
 
     def validate(self):
         _require(self.case in (1, 2), "case must be 1 or 2")
         _require(self.ell.homogeneous_degree() == 1, "ell must be a nonzero linear form")
-        _require(len(self.L) == 3 and _independent_linear(list(self.L)), "L must be 3-dimensional")
+        span_L = FormSpace(self.L, 1)
+        _require(len(self.L) == 3 and span_L.dim == 3, "L must be 3-dimensional")
         _require(self.h.homogeneous_degree() == 4, "h must be a quartic")
         if self.case == 1:
-            _require(
-                not _linear_span_contains(list(self.L), self.ell), "case 1 needs ell outside L"
-            )
+            _require(not span_L.contains(self.ell), "case 1 needs ell outside L")
             _require(self.alpha == 0, "case 1 carries no torus term")
         else:
-            _require(_linear_span_contains(list(self.L), self.ell), "case 2 needs ell inside L")
+            _require(span_L.contains(self.ell), "case 2 needs ell inside L")
             _require(self.w is not None and self.w.homogeneous_degree() == 1, "case 2 needs w")
-            _require(
-                not _linear_span_contains(list(self.L), self.w),
-                "w must complement L",
-            )
+            _require(not span_L.contains(self.w), "w must complement L")
         frame = self.complement_frame()
-        _require(len(frame) == 3 and _independent_linear(frame), "complement frame degenerate")
-        _require(_linear_span_contains(frame, self.ell1), "ell1 must lie in the complement ring")
-        _require(_linear_span_contains(frame, self.ell2), "ell2 must lie in the complement ring")
-        _require(_independent_linear([self.ell1, self.ell2]), "ell1, ell2 must be independent")
+        span_frame = FormSpace(frame, 1)
+        _require(len(frame) == 3 and span_frame.dim == 3, "complement frame degenerate")
+        _require(span_frame.contains(self.ell1), "ell1 must lie in the complement ring")
+        _require(span_frame.contains(self.ell2), "ell2 must lie in the complement ring")
+        _require(FormSpace([self.ell1, self.ell2], 1).dim == 2, "ell1, ell2 must be independent")
         _require(_subring_contains(frame, self.h, 4), "h must lie in the complement ring")
         if self.case == 2 and self.alpha != 0:
             _require(
-                _linear_span_contains(list(self.L), self.ell2),
+                span_L.contains(self.ell2),
                 "with a nonzero torus term, ell2 must lie in the designated 2-space",
             )
 
@@ -282,10 +244,10 @@ class R6Shape:
         _require(self.f.homogeneous_degree() == 4, "f must be a quartic")
         _require(divide_exact(self.f, self.ell) is None, "f must not be divisible by ell")
         _require(self.h.homogeneous_degree() == 1, "h must be a nonzero linear form")
-        _require(not _linear_span_contains([self.ell], self.h), "h must not be proportional to ell")
+        _require(not FormSpace([self.ell], 1).contains(self.h), "h must not be proportional to ell")
         _require(self.g.homogeneous_degree() == 2, "g must be a quadric")
         _require(
-            not _span_contains([self.ell, self.h], self.g, 2),
+            not FormSpace([self.ell, self.h], 2).contains(self.g),
             "g must not lie in (ell, h)",
         )
 
@@ -381,7 +343,7 @@ _MAX_DRAWS = 200
 def _random_independent_linears(rng, count: int, bound: int = 5) -> List[Polynomial]:
     for _ in range(_MAX_DRAWS):
         forms = [random_form(rng, 1, bound=bound) for _ in range(count)]
-        if _independent_linear(forms):
+        if FormSpace(forms, 1).dim == count:
             return forms
     raise ArithmeticError("failed to draw independent linear forms")
 
@@ -551,12 +513,6 @@ class StratumReport:
         }
 
 
-def graded_basis_polynomials(I: Ideal, n: int) -> List[Polynomial]:
-    monos = graded_monomial_basis(n, I.nvars)
-    piece = I.graded_piece(n)
-    return [Polynomial({monos[i]: c for i, c in enumerate(row)}, I.nvars) for row in piece.rows]
-
-
 def classify(I: Ideal) -> StratumReport:
     """Regularity stratum and component memberships of a Hilbert scheme point.
 
@@ -575,7 +531,7 @@ def classify(I: Ideal) -> StratumReport:
     values = tuple(hilbert_function(I, n) for n in range(8))
     ci = False
     if reg == 3:
-        quadrics = graded_basis_polynomials(I, 2)
+        quadrics = FormSpace(I.gens, 2, I.nvars).basis()
         if len(quadrics) != 2:
             raise ArithmeticError("a regularity-3 point must have two quadric generators")
         ci = gcd_forms(quadrics[0], quadrics[1]).homogeneous_degree() == 0

@@ -16,13 +16,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .gin import is_saturated
-from .hilbert import quotient_hilbert_polynomial, regularity
+from .hilbert import regularity
 from .ideals import (
+    FormSpace,
     Ideal,
-    _coords,
     equal,
     graded_monomial_basis,
     initial_ideal,
@@ -31,12 +31,10 @@ from .ideals import (
     saturate_irrelevant,
     syzygies_of,
 )
-from .linalg import Subspace, kernel_basis
+from .linalg import kernel_basis
 from .orders import Exponent
 from .poly import Polynomial, linear_form, monomial_divides, variables
 from . import groebner as _gb
-
-FOUR_N_COEFFS = (Fraction(0), Fraction(4))
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,6 @@ class TangentReport:
     dimension: int
     generator_degrees: Tuple[int, ...]
     constraint_count: int
-    warning: Optional[str] = None
 
 
 def _standard_monomials(in_gens, degree: int, nvars: int) -> List[Exponent]:
@@ -75,21 +72,14 @@ def _section_space(I: Ideal, ell: Polynomial, k: int, degree_r: int,
                    in_gens, gb) -> List[Polynomial]:
     """Basis of the image of H0(O_X(degree_r - k)) in (P/I)_{degree_r}: the
     degree-R part of the saturation of I + (ell^k), reduced modulo I."""
-    monos = graded_monomial_basis(degree_r, I.nvars)
-    index = {e: i for i, e in enumerate(monos)}
     if k == 0:
         return [Polynomial.monomial(m) for m in _standard_monomials(in_gens, degree_r, I.nvars)]
     bumped = saturate_irrelevant(Ideal(list(I.gens) + [ell**k], I.nvars))
-    space = Subspace([], len(monos))
+    space = FormSpace((), degree_r, I.nvars)
     basis: List[Polynomial] = []
-    for row in bumped.graded_piece(degree_r).rows:
-        rep = Polynomial({monos[i]: c for i, c in enumerate(row) if c}, I.nvars)
+    for rep in FormSpace(bumped.gens, degree_r, I.nvars).basis():
         reduced = _gb.normal_form_poly(rep, gb)
-        if reduced.is_zero():
-            continue
-        grown = space.extended([_coords(reduced, index)])
-        if grown.dim > space.dim:
-            space = grown
+        if reduced and space.add(reduced):
             basis.append(reduced)
     return basis
 
@@ -100,10 +90,8 @@ def tangent_dimension(I: Ideal) -> TangentReport:
     constrained by a generating set of syzygies."""
     if I.is_zero():
         raise ValueError("tangent space at the zero ideal is undefined")
-    warning = None
-    hp = quotient_hilbert_polynomial(I)
-    if hp.coeffs != FOUR_N_COEFFS or not is_saturated(I):
-        warning = "not a saturated quotient-Hilbert-polynomial-4n ideal"
+    if not is_saturated(I):
+        raise ValueError("the tangent space is computed at a saturated ideal")
     gens = minimal_generators(I)
     degrees = tuple(g.homogeneous_degree() for g in gens)
     syzygies = syzygies_of(gens)
@@ -145,5 +133,4 @@ def tangent_dimension(I: Ideal) -> TangentReport:
         dimension=len(kernel_basis(rows)) if rows else total_unknowns,
         generator_degrees=degrees,
         constraint_count=len(rows),
-        warning=warning,
     )

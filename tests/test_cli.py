@@ -67,6 +67,13 @@ def test_tangent(b3_file, capsys):
     assert payload["dimension"] == 16
 
 
+def test_tangent_unsaturated(tmp_path, capsys):
+    path = tmp_path / "embedded.ideal"
+    path.write_text("x; y; z^2; z*t\n")
+    assert main(["tangent", "--ideal", str(path)]) == 1
+    assert "saturated" in capsys.readouterr().err
+
+
 def test_borel_enum(capsys):
     assert main(["borel-enum", "--hp", "4*n", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

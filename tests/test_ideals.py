@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hilb4n.hilbert import hilbert_function
 from hilb4n.ideals import (
+    FormSpace,
     Ideal,
     divide_exact,
     equal,
+    graded_monomial_basis,
     initial_ideal,
     intersect,
     minimal_generators,
@@ -185,3 +189,65 @@ def test_graded_piece_dimension(catalog):
     b3 = catalog["B3"].ideal
     assert b3.graded_piece(3).dim == 8
     assert b3.graded_piece(2).dim == 2
+
+
+# ---------------------------------------------------------------------------
+# FormSpace on random small homogeneous generator sets
+
+@st.composite
+def forms(draw, nvars, degree):
+    """A sparse form of the given degree with small integer coefficients
+    (zero when every drawn coefficient is zero)."""
+    terms = draw(st.dictionaries(
+        st.sampled_from(graded_monomial_basis(degree, nvars)), st.integers(-3, 3),
+        min_size=1, max_size=4,
+    ))
+    return Polynomial(terms, nvars)
+
+
+@st.composite
+def generator_sets(draw):
+    nvars = draw(st.integers(2, 4))
+    degrees = draw(st.lists(st.integers(1, 3), max_size=3))
+    return nvars, [draw(forms(nvars, d)) for d in degrees]
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.integers(0, 4))
+def test_form_space_dim_is_hilbert_function(gens_nvars, n):
+    # the Macaulay-matrix rank against the standard monomials of the basis
+    nvars, gens = gens_nvars
+    assert FormSpace(gens, n, nvars).dim == hilbert_function(Ideal(gens, nvars), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.integers(0, 4), st.data())
+def test_form_space_coordinates_and_residues(gens_nvars, n, data):
+    nvars, gens = gens_nvars
+    space = FormSpace(gens, n, nvars)
+    f = data.draw(forms(nvars, n))
+    assert space.form(space.coords(f)) == f
+    residue = space.reduce(f)
+    assert space.contains(f) == residue.is_zero()
+    assert space.contains(f - residue)
+    for b in space.basis():
+        assert space.contains(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.data())
+def test_form_space_add_grows_exactly_off_the_span(nvars, n, data):
+    fs = data.draw(st.lists(forms(nvars, n), min_size=2, max_size=5))
+    fs.append(fs[0] + fs[1])  # never grows the span
+    space = FormSpace([], n, nvars)
+    for f in fs:
+        dim, outside = space.dim, not space.contains(f)
+        assert space.add(f) == outside
+        assert space.dim == dim + outside
+        assert space.contains(f)
+    assert space.dim == FormSpace(fs, n, nvars).dim
+
+
+def test_form_space_rejects_inhomogeneous_generators():
+    with pytest.raises(ValueError):
+        FormSpace([x + y * z], 2)

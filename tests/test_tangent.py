@@ -1,3 +1,5 @@
+import pytest
+
 from hilb4n.ideals import Ideal, intersect
 from hilb4n.poly import LinearChange, apply_change, variables
 from hilb4n.strata import sample_stratum
@@ -9,7 +11,6 @@ x, y, z, t = variables()
 def test_lex_point_dimension(catalog):
     report = tangent_dimension(catalog["B6"].ideal)
     assert report.dimension == 23
-    assert report.warning is None
     assert sorted(report.generator_degrees) == [1, 5, 6]
 
 
@@ -31,8 +32,12 @@ def test_point_schemes():
     assert tangent_dimension(two_points).dimension == 6
 
 
-def test_warning_for_other_schemes():
-    assert tangent_dimension(Ideal([x, y, z])).warning is not None
+def test_unsaturated_ideal_rejected():
+    # the irrelevant ideal is associated to an unsaturated ideal, so no
+    # linear nonzerodivisor exists; the input is refused before the search
+    for I in (Ideal([x, y, z * z, z * t]), Ideal([x, y * y, y * z, y * t])):
+        with pytest.raises(ValueError, match="saturated"):
+            tangent_dimension(I)
 
 
 def test_linear_change_invariance(rng):
