@@ -3,7 +3,7 @@
 Genericity is enforced as a runtime contract: a candidate gin is accepted only
 if it is strongly stable, two independent trials agree, and the Hilbert
 function is preserved in low degrees; otherwise the coefficient bound doubles
-and the draw repeats.
+and the draw repeats.  The saturation test ``is_saturated`` draws nothing.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from typing import List, Optional, Tuple
 
 from .borel import is_strongly_stable
 from .hilbert import hilbert_function
-from .ideals import Ideal, equal, groebner_basis, monomial_ideal, saturate, saturate_irrelevant
+from .ideals import Ideal, equal, groebner_basis, monomial_ideal, saturate_irrelevant
 from .orders import DEGREVLEX, Exponent
-from .poly import LinearChange, linear_form
+from .poly import LinearChange
 
 _HF_CHECK_DEGREE = 8
 _MAX_ESCALATIONS = 6
@@ -97,26 +97,7 @@ def generic_initial_ideal(I: Ideal, rng: Optional[random.Random] = None) -> GinR
 
 
 def is_saturated(I: Ideal) -> bool:
-    """True iff I equals its saturation by the irrelevant maximal ideal.
-
-    Monomial ideals are checked combinatorially.  Otherwise a single random
-    linear form is tried: equality of I with I : l^infinity certifies
-    saturatedness (an unsaturated ideal grows under every such colon), and a
-    prime-avoidance failure falls back to the exact intersection computation.
-    """
-    if I.is_zero():
-        return True
-    if I.is_monomial():
-        if is_strongly_stable(I):
-            last = I.nvars - 1
-            return all(g[last] == 0 for g in I.monomial_generators())
-        return equal(saturate_irrelevant(I), I)
-    rng = random.Random(_DEFAULT_SEED + 1)
-    for _ in range(2):
-        coeffs = [rng.randint(-9, 9) for _ in range(I.nvars)]
-        if not any(coeffs):
-            coeffs[-1] = 1
-        ell = linear_form(coeffs, I.nvars)
-        if equal(saturate(I, ell), I):
-            return True
+    """True iff I equals its saturation by the irrelevant maximal ideal, the
+    certified saturation by one linear form of ``saturate_irrelevant`` (no
+    random draw)."""
     return equal(saturate_irrelevant(I), I)

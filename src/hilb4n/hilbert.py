@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .ideals import Ideal, initial_ideal, minimalize_monomials
@@ -45,7 +45,7 @@ class HilbertPolynomial:
         out = HilbertPolynomial.constant(Fraction(1, 1))
         for j in range(k):
             out = out * HilbertPolynomial([shift - j, 1])
-        return out * Fraction(1, _factorial(k))
+        return out * Fraction(1, factorial(k))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -99,13 +99,6 @@ class HilbertPolynomial:
 
     def __repr__(self):
         return f"HilbertPolynomial({format_hilbert_polynomial(self)})"
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def format_hilbert_polynomial(p: HilbertPolynomial) -> str:

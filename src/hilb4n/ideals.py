@@ -4,13 +4,17 @@ intersection, equality, and syzygies.
 Monomial ideals take combinatorial fast paths throughout; everything else goes
 through the Buchberger engine.  Intersections use a single elimination tag
 variable; saturation by a variable uses the degrevlex last-variable division
-trick (exact), and general saturation iterates stable quotients.
+trick (exact), a linear form is first moved to the last variable, and general
+saturation iterates stable quotients.  Saturation by the irrelevant ideal is
+one saturation by the first linear form of a fixed sequence that keeps the
+Hilbert polynomial, which certifies it (Bayer-Stillman).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import Subspace
 from .orders import DEGREVLEX, DegRevLex, Exponent, MonomialOrder, elimination_order
@@ -19,10 +23,12 @@ from .poly import (
     LinearChange,
     Polynomial,
     format_polynomial,
+    linear_form,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomials_of_degree,
+    variables,
 )
 from . import groebner as _gb
 
@@ -207,6 +213,8 @@ def groebner_basis(
         linear, rest = _gb.reduce_by_linear_forms(gens)
         if linear and rest:
             inner = _gb.buchberger(rest, order, max_degree=max_degree)
+            if any(g.homogeneous_degree() == 0 for g in inner):
+                return inner  # the unit ideal absorbs the linear forms
             combined = linear + inner
             combined.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
             return combined
@@ -397,24 +405,39 @@ def _linear_to_last_variable(f: Polynomial):
     return m.inverse()
 
 
-def is_unit_ideal(I: Ideal) -> bool:
-    return any(g.homogeneous_degree() == 0 for g in I.gens)
+def _search_forms(nvars: int) -> Iterator[Polynomial]:
+    """t, z, y, x, then the moment forms x + c*y + c^2*z + c^3*t, c = 1, 2, ..."""
+    yield from reversed(variables(nvars))
+    for c in count(1):
+        yield linear_form([c**i for i in range(nvars)], nvars)
+
+
+def saturating_form(I: Ideal) -> Tuple[Polynomial, Ideal]:
+    """The first form h of ``_search_forms`` whose saturation I : h^infinity
+    has the Hilbert polynomial of I, and that saturation, which is I^sat.
+
+    I : h^infinity is saturated and contains I^sat, and two saturated ideals,
+    one inside the other, with the same Hilbert polynomial are equal (the
+    quotient has finite length, so it is irrelevant-torsion in S/I^sat, which
+    has none).  So h is a nonzerodivisor on S/I^sat.  The search ends: a
+    homogeneous prime other than the irrelevant ideal contains at most
+    nvars - 1 moment forms (Vandermonde), and I^sat has finitely many
+    associated primes.
+    """
+    from .hilbert import hilbert_polynomial
+
+    target = hilbert_polynomial(I)
+    for h in _search_forms(I.nvars):
+        sat = saturate(I, h)
+        if hilbert_polynomial(sat) == target:
+            return h, sat
 
 
 def saturate_irrelevant(I: Ideal) -> Ideal:
     """Saturation by the irrelevant maximal ideal: the largest homogeneous
-    ideal with the same sheaf.  Computed as the intersection of the
-    saturations by each variable (unit factors drop out)."""
-    if I.is_zero():
-        return I
-    sats = [saturate_by_variable(I, var) for var in range(I.nvars)]
-    nontrivial = [s for s in sats if not is_unit_ideal(s)]
-    if not nontrivial:
-        return Ideal([Polynomial.constant(1, I.nvars)], I.nvars)
-    result = nontrivial[0]
-    for s in nontrivial[1:]:
-        result = intersect(result, s)
-    return result
+    ideal with the same sheaf, as one certified saturation by a linear form
+    (``saturating_form``)."""
+    return saturating_form(I)[1]
 
 
 def syzygy_generators(

@@ -9,7 +9,7 @@ parameter ``a`` or an elimination tag.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,13 +59,7 @@ def monomials_of_degree(n: int, nvars: int) -> Iterator[Exponent]:
 
 def count_monomials(n: int, nvars: int) -> int:
     """dim of the degree-n graded piece of a polynomial ring in nvars variables."""
-    if n < 0:
-        return 0
-    num, den = 1, 1
-    for i in range(1, nvars):
-        num *= n + i
-        den *= i
-    return num // den
+    return comb(n + nvars - 1, nvars - 1) if n >= 0 else 0
 
 
 class Polynomial:

@@ -6,19 +6,19 @@ sections: one image per minimal generator, constrained by every generating
 syzygy.  M agrees with P/I from the regularity on, and its low graded pieces
 are realized inside a fixed high degree R by multiplication with a power of a
 linear nonzerodivisor l: the image of M_d in (P/I)_R is the degree-R part of
-the saturation of I + (l^{R-d}).  The dimension is then the exact kernel
-dimension of a linear system over Q.
+the saturation of I + (l^{R-d}).  l is the form ``saturating_form`` returns,
+whose saturation of I is certified equal to I: the first of t, z, y, x that is
+a nonzerodivisor, else the first such moment form x + c*y + c^2*z + c^3*t.
+The dimension is then the exact kernel dimension of a linear system over Q.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import List, Tuple
 
-from .gin import is_saturated
 from .hilbert import regularity
 from .ideals import (
     FormSpace,
@@ -27,13 +27,13 @@ from .ideals import (
     graded_monomial_basis,
     initial_ideal,
     minimal_generators,
-    quotient,
     saturate_irrelevant,
+    saturating_form,
     syzygies_of,
 )
 from .linalg import kernel_basis
 from .orders import Exponent
-from .poly import Polynomial, linear_form, monomial_divides, variables
+from .poly import Polynomial, monomial_divides
 from . import groebner as _gb
 
 
@@ -50,22 +50,6 @@ def _standard_monomials(in_gens, degree: int, nvars: int) -> List[Exponent]:
         for m in graded_monomial_basis(degree, nvars)
         if not any(monomial_divides(g, m) for g in in_gens)
     ]
-
-
-def _nonzerodivisor_form(I: Ideal) -> Polynomial:
-    candidates = list(variables(I.nvars))[::-1]
-    rng = random.Random(271828)
-    for _ in range(20):
-        for ell in candidates:
-            if equal(quotient(I, ell), I):
-                return ell
-        candidates = [
-            linear_form([rng.randint(-4, 4) for _ in range(I.nvars)], I.nvars)
-            or variables(I.nvars)[0]
-            for _ in range(4)
-        ]
-        candidates = [c for c in candidates if c]
-    raise ArithmeticError("no linear nonzerodivisor found; is the ideal irrelevant-primary?")
 
 
 def _section_space(I: Ideal, ell: Polynomial, k: int, degree_r: int,
@@ -90,7 +74,8 @@ def tangent_dimension(I: Ideal) -> TangentReport:
     constrained by a generating set of syzygies."""
     if I.is_zero():
         raise ValueError("tangent space at the zero ideal is undefined")
-    if not is_saturated(I):
+    ell, saturation = saturating_form(I)  # ell is a nonzerodivisor when I is saturated
+    if not equal(saturation, I):
         raise ValueError("the tangent space is computed at a saturated ideal")
     gens = minimal_generators(I)
     degrees = tuple(g.homogeneous_degree() for g in gens)
@@ -98,7 +83,6 @@ def tangent_dimension(I: Ideal) -> TangentReport:
     gb = _gb._Prepared(I.groebner_basis())  # one integer form for every normal form below
     in_gens = initial_ideal(I).monomial_generators()
     degree_r = max(regularity(I), max(degrees))
-    ell = _nonzerodivisor_form(I)
 
     # image of each needed section space inside degree R, modulo I
     section_bases = {d: _section_space(I, ell, degree_r - d, degree_r, in_gens, gb)

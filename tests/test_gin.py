@@ -64,6 +64,10 @@ def test_is_saturated_examples(catalog):
     assert is_saturated(catalog["B3"].ideal)
     assert not is_saturated(Ideal([x * x, x * y, x * z, x * t**4]))
     assert is_saturated(Ideal([x]))
+    # no variable is a nonzerodivisor: the search reaches x + y + z + t
+    four_points = Ideal([x * y, x * z, x * t, y * z, y * t, z * t])
+    assert is_saturated(four_points)
+    assert not is_saturated(Ideal([g * v for g in four_points.gens for v in (x, y, z, t)]))
 
 
 def test_is_saturated_nonmonomial(rng):

@@ -1,6 +1,10 @@
+import random
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hilb4n.gin import is_saturated
 from hilb4n.hilbert import hilbert_function
 from hilb4n.ideals import (
     FormSpace,
@@ -8,13 +12,16 @@ from hilb4n.ideals import (
     divide_exact,
     equal,
     graded_monomial_basis,
+    groebner_basis,
     initial_ideal,
     intersect,
     minimal_generators,
     normal_form,
     quotient,
     saturate,
+    saturate_by_variable,
     saturate_irrelevant,
+    saturating_form,
     syzygy_generators,
 )
 from hilb4n.orders import LEX
@@ -99,6 +106,69 @@ def test_saturate_irrelevant_cone(catalog):
     assert equal(saturate_irrelevant(Ideal([x * x, x * y, x * z, x * t])), Ideal([x]))
     # idempotence
     assert equal(saturate_irrelevant(sat), sat)
+
+
+def test_unit_ideal_absorbs_linear_forms():
+    one = Polynomial.constant(1, 4)
+    assert groebner_basis([x + y, one]) == [one]
+    assert groebner_basis([x + y, z * z - t * t, t * (x - y), one]) == [one]
+    assert equal(Ideal([x + y, one]), Ideal([one]))
+
+
+# ---------------------------------------------------------------------------
+# the certified single-form saturation against the intersection route
+
+def reference_saturate_irrelevant(I):
+    """The intersection of the saturations by each variable, unit ones
+    dropped: the irrelevant saturation before the single-form search."""
+    sats = [saturate_by_variable(I, v) for v in range(I.nvars)]
+    nontrivial = [s for s in sats if not any(g.homogeneous_degree() == 0 for g in s.gens)]
+    if not nontrivial:
+        return Ideal([Polynomial.constant(1, I.nvars)], I.nvars)
+    return reduce(intersect, nontrivial)
+
+
+FOUR_POINTS = Ideal([x * y, x * z, x * t, y * z, y * t, z * t])
+
+
+def _saturation_inputs():
+    from hilb4n.strata import sample_stratum
+
+    rng = random.Random(909)
+    m = (x, y, z, t)
+    out = [
+        Ideal([x * x, x * y, x * z, x * t**4]),  # the cone over a plane
+        FOUR_POINTS,
+        Ideal([g * v for g in FOUR_POINTS.gens for v in m]),
+        Ideal([x * x, y * y, z * z, t * t, x * y + z * t]),  # m-primary
+        Ideal([random_form(rng, 2) for _ in range(4)]),  # m-primary for these draws
+    ]
+    for _ in range(6):
+        gens = [random_form(rng, rng.randint(1, 3), bound=2) for _ in range(rng.randint(1, 3))]
+        J = Ideal([g * rng.choice(m) ** rng.randint(0, 2) for g in gens])
+        out += [J, Ideal([g * v for g in J.gens for v in m])]  # J and J*m, unsaturated
+    for name in ("V", "R3'", "R5"):
+        I = sample_stratum(name, rng)
+        out.append(Ideal(list(I.gens) + [t * t]))  # zero-dimensional
+        out.append(Ideal([x * g for g in I.gens]))  # an extra plane
+    return out
+
+
+def test_saturate_irrelevant_matches_intersection_route():
+    for I in _saturation_inputs():
+        expected = reference_saturate_irrelevant(I)
+        assert equal(saturate_irrelevant(I), expected), I
+        assert is_saturated(I) == equal(expected, I), I
+
+
+def test_saturating_form_needs_the_hilbert_polynomial_check():
+    # every variable vanishes at one of the four coordinate points, so the
+    # search passes all four variables and stops at the first moment form;
+    # stopping at t, unchecked, would keep only the point (0:0:0:1)
+    h, sat = saturating_form(FOUR_POINTS)
+    assert h == x + y + z + t
+    assert equal(sat, FOUR_POINTS)
+    assert not equal(saturate(FOUR_POINTS, t), FOUR_POINTS)
 
 
 def test_intersect_examples():
@@ -246,6 +316,29 @@ def test_form_space_add_grows_exactly_off_the_span(nvars, n, data):
         assert space.dim == dim + outside
         assert space.contains(f)
     assert space.dim == FormSpace(fs, n, nvars).dim
+
+
+@st.composite
+def colon_inputs(draw):
+    """1-3 nonzero forms of degree at most 3 in 3-4 variables, each times a
+    power of a variable, and the variable to saturate by."""
+    nvars = draw(st.integers(3, 4))
+    gens = []
+    for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        var = Polynomial.variable(draw(st.integers(0, nvars - 1)), nvars)
+        gens.append(draw(forms(nvars, d).filter(bool)) * var ** draw(st.integers(0, 2)))
+    return Ideal(gens, nvars), draw(st.integers(0, nvars - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(colon_inputs())
+def test_saturate_by_variable_is_the_stable_colon(ideal_var):
+    I, v = ideal_var
+    var = Polynomial.variable(v, I.nvars)
+    colon = I
+    while not equal(nxt := quotient(colon, var), colon):
+        colon = nxt
+    assert equal(saturate_by_variable(I, v), colon)
 
 
 def test_form_space_rejects_inhomogeneous_generators():

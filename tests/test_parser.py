@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilb4n.hilbert import HilbertPolynomial
 from hilb4n.ideals import equal
@@ -13,7 +14,7 @@ from hilb4n.parser import (
     parse_ideal,
     parse_polynomial,
 )
-from hilb4n.poly import variables
+from hilb4n.poly import Polynomial, format_polynomial, variables
 
 x, y, z, t = variables()
 
@@ -72,6 +73,15 @@ def test_roundtrip(catalog, rng):
         I = Ideal([random_form(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
         text = format_ideal(I)
         assert equal(parse_ideal(text).ideal(), I)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(
+    st.tuples(*[st.integers(0, 6)] * 4), st.fractions(max_denominator=40), max_size=5,
+))
+def test_printed_polynomial_parses_back(terms):
+    p = Polynomial(terms, 4)
+    assert parse_polynomial(format_polynomial(p)) == p
 
 
 def test_parse_hilbert_polynomial():

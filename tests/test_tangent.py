@@ -30,11 +30,17 @@ def test_point_schemes():
     assert tangent_dimension(Ideal([x, y, z])).dimension == 3
     two_points = intersect(Ideal([x, y, t]), Ideal([x, z, t]))
     assert tangent_dimension(two_points).dimension == 6
+    # no variable is a nonzerodivisor at the coordinate points, so the
+    # section spaces use the form x + y + z + t
+    four_points = Ideal([x * y, x * z, x * t, y * z, y * t, z * t])
+    assert tangent_dimension(four_points).dimension == 12
+    assert tangent_dimension(Ideal([t, x * y, x * z, y * z])).dimension == 9
 
 
 def test_unsaturated_ideal_rejected():
     # the irrelevant ideal is associated to an unsaturated ideal, so no
-    # linear nonzerodivisor exists; the input is refused before the search
+    # linear nonzerodivisor exists; the certified saturation is larger than
+    # the input, which is refused
     for I in (Ideal([x, y, z * z, z * t]), Ideal([x, y * y, y * z, y * t])):
         with pytest.raises(ValueError, match="saturated"):
             tangent_dimension(I)
