@@ -32,7 +32,6 @@ from .ideals import (
     quotient,
     saturate,
     saturate_irrelevant,
-    syzygy_generators,
 )
 from .linalg import kernel_basis
 from .orders import DEGREVLEX, LEX, compare_monomials

@@ -24,6 +24,7 @@ from .ideals import (
     Ideal,
     divide_exact,
     equal,
+    forms_to_change,
     saturate_by_variable,
     saturate_irrelevant,
 )
@@ -302,13 +303,6 @@ class DegenerationChain:
     terminal: Ideal
 
 
-def _forms_to_change(rows: Sequence[Polynomial]) -> LinearChange:
-    """The change of coordinates sending the i-th given linear form to the
-    i-th variable (forms transform by v -> v A, so A inverts the row matrix)."""
-    linear = FormSpace((), 1)
-    return LinearChange([linear.coords(f) for f in rows]).inverse()
-
-
 def _graded_residues(I: Ideal, degree: int, modulus: Ideal) -> List[Polynomial]:
     """Basis of the image of I_degree in P_degree modulo a monomial ideal."""
     gens = modulus.monomial_generators()
@@ -323,7 +317,7 @@ def _graded_residues(I: Ideal, degree: int, modulus: Ideal) -> List[Polynomial]:
 
 
 def _normalize_case1(I: Ideal, ell: Polynomial, L: List[Polynomial]) -> Tuple[Ideal, LinearChange]:
-    change = _forms_to_change(L + [ell])  # L -> (x, y, z), ell -> t
+    change = forms_to_change(L + [ell])  # L -> (x, y, z), ell -> t
     moved = Ideal([change.apply(g) for g in I.gens])
     return moved, change
 
@@ -367,7 +361,7 @@ def _case1_inner_change(h, ell1, ell2) -> LinearChange:
             third = axis + first.scale(shift) if shift else axis
             if FormSpace([first, second, third, t_form], 1).dim != 4:
                 continue
-            change = _forms_to_change([first, second, third, t_form])
+            change = forms_to_change([first, second, third, t_form])
             h2 = change.apply(h)
             if h2.coefficient(x4):
                 return change
@@ -449,7 +443,7 @@ def _case2_normalized(I: Ideal, ell, L) -> Ideal:
     completion = R5Shape.frame_completion(ell, L)
     selected = FormSpace([ell] + completion, 1)
     w = next(v for v in variables() if not selected.contains(v))
-    change = _forms_to_change([ell] + completion + [w])
+    change = forms_to_change([ell] + completion + [w])
     return Ideal([change.apply(g) for g in I.gens])
 
 

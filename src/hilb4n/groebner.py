@@ -181,70 +181,20 @@ def _spair(f: _Basis, g: _Basis) -> IntPoly:
     return out
 
 
-def _reduce_spair(
-    basis: Sequence[_Basis], i: int, j: int, order: MonomialOrder, nvars: int, traced: bool
-) -> Tuple[IntPoly, Optional[List[Polynomial]]]:
-    """Fully reduce S(basis[i], basis[j]).  Returns (r, row); when ``traced``,
-    ``row`` holds one coefficient per basis element with
-    r = sum(row[k] * basis[k]), so a vanishing r makes ``row`` a syzygy."""
-    s = _spair(basis[i], basis[j])
-    trace = [dict() for _ in basis] if traced else None
-    r, mult = _normal_form_int(s, basis, order, trace)
-    if not traced:
-        return r, None
-    # mult * S = r + sum(q_k * basis_k), with S = a x^sf basis_i - b x^sg basis_j
-    sf, a, sg, b = _spair_multipliers(basis[i], basis[j])
-    row = _negated(trace, nvars)
-    row[i] = row[i] + Polynomial({sf: Fraction(a * mult)}, nvars)
-    row[j] = row[j] + Polynomial({sg: Fraction(-b * mult)}, nvars)
-    return r, row
-
-
-def _negated(trace: Sequence[IntPoly], nvars: int) -> List[Polynomial]:
-    return [_as_poly(q, nvars, Fraction(-1)) for q in trace]
-
-
-def _combine(
-    rows: Sequence[List[Polynomial]], coeffs: Sequence[Polynomial], nvars: int
-) -> List[Polynomial]:
-    """sum(coeffs[k] * rows[k]) for representation rows of equal length."""
-    out = [Polynomial.zero(nvars)] * len(rows[0])
-    for row, c in zip(rows, coeffs):
-        if not c:
-            continue
-        for k, entry in enumerate(row):
-            if entry:
-                out[k] = out[k] + entry * c
-    return out
-
-
-def _groebner(
+def buchberger(
     gens: Sequence[Polynomial],
-    order: MonomialOrder,
-    max_degree: Optional[int],
-    track: bool,
-) -> List[Tuple[Polynomial, Optional[List[Polynomial]]]]:
-    """The Buchberger loop behind both public entry points.
+    order: MonomialOrder = DEGREVLEX,
+    max_degree: Optional[int] = None,
+) -> List[Polynomial]:
+    """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Pairs are taken by the normal strategy (least lcm degree, then least lcm)
-    and skipped by both classical criteria.  With ``track``, a representation
-    over ``gens`` rides along with every basis element: reps[k] is a row with
-    basis_k = sum(reps[k][i] * gens[i]).  Returns the reduced basis, each
-    element paired with its representation (None without ``track``).
+    and skipped by both classical criteria.  ``max_degree`` truncates the pair
+    queue (valid for homogeneous input when only graded pieces up to that
+    degree are consumed downstream).
     """
     nvars = gens[0].nvars if gens else 0
-    zero = Polynomial.zero(nvars)
-    basis: List[_Basis] = []
-    reps: Optional[List[List[Polynomial]]] = [] if track else None
-    for i, g in enumerate(gens):
-        gi, scale = _to_int_poly(g)
-        if not gi:
-            continue
-        basis.append(_Basis(gi, order))
-        if track:
-            row = [zero] * len(gens)
-            row[i] = Polynomial.constant(1 / scale, nvars)
-            reps.append(row)
+    basis = [_Basis(gi, order) for gi in (_to_int_poly(g)[0] for g in gens) if gi]
 
     def lcm_of(i: int, j: int) -> Exponent:
         return monomial_lcm(basis[i].lm, basis[j].lm)
@@ -275,26 +225,19 @@ def _groebner(
             for k in range(len(basis))
         ):
             continue
-        r, row = _reduce_spair(basis, i, j, order, nvars, track)
+        r, _ = _normal_form_int(_spair(basis[i], basis[j]), basis, order)
         if not r:
             continue
         content = _content(r)
         basis.append(_Basis({e: c // content for e, c in r.items()}, order))
-        if track:
-            reps.append([p.scale(Fraction(1, content)) for p in _combine(reps, row, nvars)])
         new = len(basis) - 1
         for k in range(new):
             pairs.add((k, new))
             keys[k, new] = strategy_key(k, new)
-    return _reduce_basis(basis, order, nvars, reps)
+    return _reduce_basis(basis, order, nvars)
 
 
-def _reduce_basis(
-    basis: List[_Basis],
-    order: MonomialOrder,
-    nvars: int,
-    reps: Optional[List[List[Polynomial]]],
-) -> List[Tuple[Polynomial, Optional[List[Polynomial]]]]:
+def _reduce_basis(basis: List[_Basis], order: MonomialOrder, nvars: int) -> List[Polynomial]:
     # minimal generators: drop elements whose lm is divisible by another lm
     lms = [b.lm for b in basis]
     keep = [
@@ -308,43 +251,10 @@ def _reduce_basis(
     # tail-reduce each against the others, make monic
     out = []
     for i in keep:
-        others = [k for k in keep if k != i]
-        trace = [dict() for _ in others] if reps is not None else None
-        r, mult = _normal_form_int(basis[i].poly, [basis[k] for k in others], order, trace)
-        lc = r[max(r, key=order.key)]
-        rep = None
-        if reps is not None:
-            # r = mult * basis_i - sum(q_k * basis_k)
-            coeffs = [Polynomial.constant(mult, nvars)] + _negated(trace, nvars)
-            rep = _combine([reps[i]] + [reps[k] for k in others], coeffs, nvars)
-            rep = [p.scale(Fraction(1, lc)) for p in rep]
-        out.append((_as_poly(r, nvars, Fraction(1, lc)), rep))
-    out.sort(key=lambda pr: order.key(pr[0].leading_monomial(order)), reverse=True)
+        r, _ = _normal_form_int(basis[i].poly, [basis[k] for k in keep if k != i], order)
+        out.append(_as_poly(r, nvars, Fraction(1, r[max(r, key=order.key)])))
+    out.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
     return out
-
-
-def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = DEGREVLEX,
-    max_degree: Optional[int] = None,
-) -> List[Polynomial]:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
-
-    ``max_degree`` truncates the pair queue (valid for homogeneous input when
-    only graded pieces up to that degree are consumed downstream).
-    """
-    return [g for g, _ in _groebner(gens, order, max_degree, track=False)]
-
-
-def buchberger_with_reps(
-    gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
-) -> Tuple[List[Polynomial], List[List[Polynomial]]]:
-    """Reduced Groebner basis together with representations over ``gens``.
-
-    Returns (gb, reps) with gb[k] = sum_i reps[k][i] * gens[i], exactly.
-    """
-    out = _groebner(gens, order, None, track=True)
-    return [g for g, _ in out], [rep for _, rep in out]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +264,9 @@ def gb_syzygies(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> L
     """Generators of the syzygy module of a Groebner basis.
 
     Every S-pair of the basis reduces to zero; its traced reduction yields one
-    relation.  The full pair set is processed (Schreyer), so the returned
-    vectors generate all syzygies of ``gb``.
+    relation.  The full pair set is processed, so by Schreyer's theorem the
+    returned vectors generate all syzygies of ``gb`` (Eisenbud, *Commutative
+    Algebra*, Thm 15.10).
     """
     nvars = gb[0].nvars if gb else 0
     data = [_to_int_poly(g) for g in gb]
@@ -363,14 +274,29 @@ def gb_syzygies(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> L
     syz: List[List[Polynomial]] = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            r, row = _reduce_spair(basis, i, j, order, nvars, traced=True)
-            if r:
-                raise ArithmeticError("input was not a Groebner basis: S-pair did not vanish")
+            row = _spair_syzygy(basis, i, j, order, nvars)
             # rescale to act on the exact (monic) basis elements
             row = [p.scale(1 / data[k][1]) if p else p for k, p in enumerate(row)]
             if any(row):
                 syz.append(row)
     return syz
+
+
+def _spair_syzygy(
+    basis: Sequence[_Basis], i: int, j: int, order: MonomialOrder, nvars: int
+) -> List[Polynomial]:
+    """The relation sum(row[k] * basis[k]) = 0 traced from the reduction of
+    S(basis[i], basis[j]) to zero."""
+    trace: List[IntPoly] = [dict() for _ in basis]
+    r, mult = _normal_form_int(_spair(basis[i], basis[j]), basis, order, trace)
+    if r:
+        raise ArithmeticError("input was not a Groebner basis: S-pair did not vanish")
+    # mult * S = sum(q_k * basis_k), with S = a x^sf basis_i - b x^sg basis_j
+    sf, a, sg, b = _spair_multipliers(basis[i], basis[j])
+    row = [_as_poly(q, nvars, Fraction(-1)) for q in trace]
+    row[i] = row[i] + Polynomial({sf: Fraction(a * mult)}, nvars)
+    row[j] = row[j] + Polynomial({sg: Fraction(-b * mult)}, nvars)
+    return row
 
 
 def division_quotients(

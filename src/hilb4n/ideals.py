@@ -1,5 +1,5 @@
 """Homogeneous ideals: Groebner caches, initial ideals, quotients, saturation,
-intersection, equality, and syzygies.
+intersection and equality.
 
 Monomial ideals take combinatorial fast paths throughout; everything else goes
 through the Buchberger engine.  Intersections use a single elimination tag
@@ -365,7 +365,9 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
         return saturate_by_variable(I, var)
     if f.homogeneous_degree() == 1:
         # change coordinates so the form becomes the last variable
-        change = _linear_to_last_variable(f)
+        lead = f.leading_monomial().index(1)
+        others = [v for i, v in enumerate(variables(I.nvars)) if i != lead]
+        change = forms_to_change(others + [f])
         moved = Ideal([change.apply(g) for g in I.gens], I.nvars)
         sat = saturate_by_variable(moved, I.nvars - 1)
         back = change.inverse()
@@ -387,22 +389,11 @@ def _as_variable(f: Polynomial) -> Optional[int]:
     return None
 
 
-def _linear_to_last_variable(f: Polynomial):
-    """Invertible change sending the linear form f to the last variable."""
-    n = f.nvars
-    coeffs = FormSpace((), 1, n).coords(f)
-    lead = next(i for i, c in enumerate(coeffs) if c)
-    rows = []
-    for i in range(n):
-        if i == lead:
-            continue
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        rows.append(row)
-    rows.append(coeffs)
-    # forms transform by v -> v * A, so A = M^{-1} sends f to the last variable
-    m = LinearChange(rows)
-    return m.inverse()
+def forms_to_change(forms: Sequence[Polynomial]) -> LinearChange:
+    """The change of coordinates sending the i-th given linear form to the
+    i-th variable (forms transform by v -> v A, so A inverts the row matrix)."""
+    linear = FormSpace((), 1, forms[0].nvars)
+    return LinearChange([linear.coords(f) for f in forms]).inverse()
 
 
 def _search_forms(nvars: int) -> Iterator[Polynomial]:
@@ -438,55 +429,3 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     ideal with the same sheaf, as one certified saturation by a linear form
     (``saturating_form``)."""
     return saturating_form(I)[1]
-
-
-def syzygy_generators(
-    I: Ideal, order: MonomialOrder = DEGREVLEX
-) -> List[List[Polynomial]]:
-    """Generating set of the syzygy module of I's listed generators."""
-    return syzygies_of(list(I.gens), order)
-
-
-def syzygies_of(
-    gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
-) -> List[List[Polynomial]]:
-    """Generators of {(s_i) : sum s_i gens_i = 0}.
-
-    Monomial generators get the pairwise lcm (Taylor) syzygies, which generate;
-    otherwise syzygies of the reduced basis are transported along the change of
-    generating sets.
-    """
-    gens = list(gens)
-    nvars = gens[0].nvars
-    zero = Polynomial.zero(nvars)
-    if all(g.is_monomial() for g in gens):
-        out = []
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                mi, ci = gens[i].leading_monomial(order), gens[i].leading_coefficient(order)
-                mj, cj = gens[j].leading_monomial(order), gens[j].leading_coefficient(order)
-                lcm = monomial_lcm(mi, mj)
-                row = [zero] * len(gens)
-                row[i] = Polynomial.monomial(monomial_div(lcm, mi), Fraction(1, ci))
-                row[j] = Polynomial.monomial(monomial_div(lcm, mj), Fraction(-1, cj))
-                out.append(row)
-        return out
-    gb, reps = _gb.buchberger_with_reps(gens, order)
-    gb_syz = _gb.gb_syzygies(gb, order)
-    # express each original generator over the basis: gens = A * gb
-    a_rows = []
-    for g in gens:
-        r, quots = _gb.division_quotients(g, gb, order)
-        if not r.is_zero():
-            raise ArithmeticError("generator failed to reduce against its own basis")
-        a_rows.append(quots)
-    # syzygies of gens: transported basis syzygies plus rows of (Id - A B)
-    out = [row for row in (_gb._combine(reps, s, nvars) for s in gb_syz) if any(row)]
-    one = Polynomial.constant(1, nvars)
-    for i, quots in enumerate(a_rows):
-        # with no basis (every generator zero) A*B is the zero matrix
-        ab = _gb._combine(reps, quots, nvars) if reps else [zero] * len(gens)
-        row = [(one if j == i else zero) - c for j, c in enumerate(ab)]
-        if any(row):
-            out.append(row)
-    return out

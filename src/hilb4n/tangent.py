@@ -2,14 +2,17 @@
 
 The tangent space at [X] is the degree-0 part of Hom(I, M) where I is the
 saturated ideal and M = directsum_n H0(X, O_X(n)) is the module of twisted
-sections: one image per minimal generator, constrained by every generating
-syzygy.  M agrees with P/I from the regularity on, and its low graded pieces
-are realized inside a fixed high degree R by multiplication with a power of a
-linear nonzerodivisor l: the image of M_d in (P/I)_R is the degree-R part of
-the saturation of I + (l^{R-d}).  l is the form ``saturating_form`` returns,
-whose saturation of I is certified equal to I: the first of t, z, y, x that is
-a nonzerodivisor, else the first such moment form x + c*y + c^2*z + c^3*t.
-The dimension is then the exact kernel dimension of a linear system over Q.
+sections.  It does not depend on the presentation of I, so I is presented by
+its reduced degrevlex Groebner basis: one image per basis element, constrained
+by the basis's Schreyer syzygies, the traced reductions of its S-pairs, which
+generate all its syzygies (Eisenbud, Commutative Algebra, Thm 15.10).  M
+agrees with P/I from the regularity on, and its low graded pieces are realized
+inside a fixed high degree R by multiplication with a power of a linear
+nonzerodivisor l: the image of M_d in (P/I)_R is the degree-R part of the
+saturation of I + (l^{R-d}).  l is the form ``saturating_form`` returns, whose
+saturation of I is certified equal to I: the first of t, z, y, x that is a
+nonzerodivisor, else the first such moment form x + c*y + c^2*z + c^3*t.  The
+dimension is then the exact kernel dimension of a linear system over Q.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .ideals import (
     minimal_generators,
     saturate_irrelevant,
     saturating_form,
-    syzygies_of,
 )
 from .linalg import kernel_basis
 from .orders import Exponent
@@ -71,16 +73,17 @@ def _section_space(I: Ideal, ell: Polynomial, k: int, degree_r: int,
 def tangent_dimension(I: Ideal) -> TangentReport:
     """Dimension of the Hilbert-scheme tangent space at a saturated ideal,
     as degree-0 homomorphisms from the ideal to the twisted-section module,
-    constrained by a generating set of syzygies."""
+    constrained by the Schreyer syzygies of the reduced Groebner basis.
+    ``generator_degrees`` are the degrees of the minimal generators;
+    ``constraint_count`` is the number of rows of the linear system."""
     if I.is_zero():
         raise ValueError("tangent space at the zero ideal is undefined")
     ell, saturation = saturating_form(I)  # ell is a nonzerodivisor when I is saturated
     if not equal(saturation, I):
         raise ValueError("the tangent space is computed at a saturated ideal")
-    gens = minimal_generators(I)
-    degrees = tuple(g.homogeneous_degree() for g in gens)
-    syzygies = syzygies_of(gens)
     gb = _gb._Prepared(I.groebner_basis())  # one integer form for every normal form below
+    degrees = tuple(g.homogeneous_degree() for g in gb)
+    syzygies = _gb.gb_syzygies(gb)
     in_gens = initial_ideal(I).monomial_generators()
     degree_r = max(regularity(I), max(degrees))
 
@@ -115,6 +118,6 @@ def tangent_dimension(I: Ideal) -> TangentReport:
 
     return TangentReport(
         dimension=len(kernel_basis(rows)) if rows else total_unknowns,
-        generator_degrees=degrees,
+        generator_degrees=tuple(g.homogeneous_degree() for g in minimal_generators(I)),
         constraint_count=len(rows),
     )

@@ -233,32 +233,37 @@ def run_quotient_hp(seed: int) -> List[VerificationItem]:
     return items
 
 
-def _suite_failures(label: str, count: int, rng: random.Random, reg: int) -> Dict:
+def _no_failures(id: str, description: str, anchor: str, samples: int,
+                 failures: int) -> VerificationItem:
+    """The item for ``samples`` random draws, of which none may fail."""
+    return VerificationItem.check(id, description, anchor, {"samples": samples, "failures": 0},
+                                  {"samples": samples, "failures": failures})
+
+
+def _suite_failures(label: str, count: int, rng: random.Random, reg: int) -> int:
     failures = 0
     for _ in range(count):
         I = sample_stratum(label, rng)
         values = tuple(hilbert_function(I, n) for n in range(9))
         if values != PHI[reg] or regularity(I) != reg:
             failures += 1
-    return {"samples": count, "failures": failures}
+    return failures
 
 
 def run_prop21(seed: int) -> List[VerificationItem]:
     rng = _rng(seed, "prop21")
     items = [
-        VerificationItem.check(
+        _no_failures(
             "prop21/ci-suite",
             "100 random coprime quadric pairs: Hilbert function and regularity 3",
             "regularity-3/complete-intersections",
-            {"samples": 100, "failures": 0},
-            _suite_failures("V", 100, rng, 3),
+            100, _suite_failures("V", 100, rng, 3),
         ),
-        VerificationItem.check(
+        _no_failures(
             "prop21/shared-factor-suite",
             "100 random shared-factor ideals: Hilbert function and regularity 3",
             "regularity-3/shared-factor-shape",
-            {"samples": 100, "failures": 0},
-            _suite_failures("R3'", 100, rng, 3),
+            100, _suite_failures("R3'", 100, rng, 3),
         ),
     ]
     return items
@@ -280,19 +285,17 @@ def run_prop22(seed: int) -> List[VerificationItem]:
         if hilbert_function(sub, 4) != 18:
             aux_failures += 1
     return [
-        VerificationItem.check(
+        _no_failures(
             "prop22/suite",
             "100 random regularity-4 shapes: Hilbert function and regularity 4",
             "regularity-4/shape",
-            {"samples": count, "failures": 0},
-            {"samples": count, "failures": failures},
+            count, failures,
         ),
-        VerificationItem.check(
+        _no_failures(
             "prop22/aux-dimension",
             "the degree-4 piece of ell*(ell1, ell2, q) has dimension 18",
             "regularity-4/auxiliary-dimension",
-            {"samples": count, "failures": 0},
-            {"samples": count, "failures": aux_failures},
+            count, aux_failures,
         ),
     ]
 
@@ -314,12 +317,11 @@ def run_r5r6(seed: int) -> List[VerificationItem]:
             if hilbert_function(net, 5) != 34:
                 net_failures += 1
     items.append(
-        VerificationItem.check(
+        _no_failures(
             "r5r6/r5-suite",
             "50 random regularity-5 shapes: Hilbert function and regularity 5",
             "regularity-5/shape",
-            {"samples": 50, "failures": 0},
-            {"samples": 50, "failures": failures},
+            50, failures,
         )
     )
     items.append(
@@ -332,12 +334,11 @@ def run_r5r6(seed: int) -> List[VerificationItem]:
         )
     )
     items.append(
-        VerificationItem.check(
+        _no_failures(
             "r5r6/r6-suite",
             "50 random regularity-6 shapes: Hilbert function and regularity 6",
             "regularity-6/shape",
-            {"samples": 50, "failures": 0},
-            _suite_failures("R6", 50, rng, 6),
+            50, _suite_failures("R6", 50, rng, 6),
         )
     )
     return items
@@ -390,12 +391,11 @@ def run_gin(seed: int) -> List[VerificationItem]:
             if not equal(result.gin, catalog[target].ideal):
                 failures += 1
         items.append(
-            VerificationItem.check(
+            _no_failures(
                 f"gin/{label}",
                 f"{count} random {label} samples have generic initial ideal {target}",
                 f"generic-initial-ideals/{label}",
-                {"samples": count, "failures": 0},
-                {"samples": count, "failures": failures},
+                count, failures,
             )
         )
     return items
@@ -443,12 +443,11 @@ def run_tangent(seed: int) -> List[VerificationItem]:
         if tangent_dimension(I).dimension != 16:
             failures += 1
     items.append(
-        VerificationItem.check(
+        _no_failures(
             "tangent/ci-suite",
             "10 random complete intersections have tangent dimension 16",
             "tangent-spaces/complete-intersections",
-            {"samples": 10, "failures": 0},
-            {"samples": 10, "failures": failures},
+            10, failures,
         )
     )
     for name, bound in (("B3", 16), ("B4", 23), ("B5", 23)):
@@ -476,12 +475,11 @@ def run_va(seed: int) -> List[VerificationItem]:
         except (ArithmeticError, ValueError):
             failures += 1
     return [
-        VerificationItem.check(
+        _no_failures(
             "va/round-trip",
             "25 random shared-factor ideals are limits of complete-intersection pencils",
             "degenerations/ci-pencil-round-trip",
-            {"samples": count, "failures": 0},
-            {"samples": count, "failures": failures},
+            count, failures,
         )
     ]
 
@@ -510,19 +508,17 @@ def run_rs(seed: int) -> List[VerificationItem]:
         if not last.raw_limit.contains_ideal(xcone):
             raw_failures += 1
     return [
-        VerificationItem.check(
+        _no_failures(
             "rs/terminal",
             "25 random regularity-5 ideals degenerate into the regularity-6 stratum",
             "degenerations/regularity-5-to-6",
-            {"samples": count, "failures": 0},
-            {"samples": count, "failures": failures},
+            count, failures,
         ),
-        VerificationItem.check(
+        _no_failures(
             "rs/pre-saturation-cone",
             "the limit contains the shared-linear-form cone before final saturation",
             "degenerations/pre-saturation-cone",
-            {"samples": count, "failures": 0},
-            {"samples": count, "failures": raw_failures},
+            count, raw_failures,
         ),
     ]
 
@@ -550,12 +546,11 @@ def run_properties(seed: int) -> List[VerificationItem]:
         if not (by_count == by_rank == lex_count):
             failures += 1
     items.append(
-        VerificationItem.check(
+        _no_failures(
             "properties/initial-ideal-hilbert",
             "graded dimensions agree between initial-ideal counting, rank, and lex route",
             "engine/macaulay-initial-ideal",
-            {"samples": 50, "failures": 0},
-            {"samples": 50, "failures": failures},
+            50, failures,
         )
     )
 
@@ -567,12 +562,11 @@ def run_properties(seed: int) -> List[VerificationItem]:
         if groebner_basis(list(I.gens)) != groebner_basis(gens):
             failures += 1
     items.append(
-        VerificationItem.check(
+        _no_failures(
             "properties/groebner-determinism",
             "reduced bases are independent of generator order",
             "engine/reduced-basis-uniqueness",
-            {"samples": 50, "failures": 0},
-            {"samples": 50, "failures": failures},
+            50, failures,
         )
     )
 
@@ -584,12 +578,11 @@ def run_properties(seed: int) -> List[VerificationItem]:
         if not equal(saturate(once, f), once):
             failures += 1
     items.append(
-        VerificationItem.check(
+        _no_failures(
             "properties/saturation-idempotence",
             "saturation is idempotent",
             "engine/saturation",
-            {"samples": 50, "failures": 0},
-            {"samples": 50, "failures": failures},
+            50, failures,
         )
     )
 
@@ -616,12 +609,11 @@ def run_properties(seed: int) -> List[VerificationItem]:
         ):
             failures += 1
     items.append(
-        VerificationItem.check(
+        _no_failures(
             "properties/semicontinuity",
             "limit Hilbert functions dominate generic-fibre Hilbert functions",
             "degenerations/semicontinuity",
-            {"samples": 50, "failures": 0},
-            {"samples": 50, "failures": failures},
+            50, failures,
         )
     )
 
@@ -636,12 +628,11 @@ def run_properties(seed: int) -> List[VerificationItem]:
         if not equal(result.gin, again.gin):
             failures += 1
     items.append(
-        VerificationItem.check(
+        _no_failures(
             "properties/gin-agreement",
             "independent generic-initial-ideal runs agree",
             "engine/gin-two-trial",
-            {"samples": 50, "failures": 0},
-            {"samples": 50, "failures": failures},
+            50, failures,
         )
     )
     return items

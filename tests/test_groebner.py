@@ -1,4 +1,4 @@
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,6 @@ from hilb4n.groebner import (
     _Prepared,
     _to_int_poly,
     buchberger,
-    buchberger_with_reps,
     division_quotients,
     gb_syzygies,
     normal_form_poly,
@@ -21,6 +20,7 @@ from hilb4n.poly import (
     monomial_div,
     monomial_divides,
     monomial_mul,
+    monomials_of_degree,
     random_form,
     variables,
 )
@@ -116,17 +116,6 @@ def test_division_quotients_identity(rng):
     assert recomposed == f
 
 
-def test_buchberger_with_reps_identity(rng):
-    gens = [random_form(rng, 2), random_form(rng, 2), random_form(rng, 1)]
-    gb, reps = buchberger_with_reps(gens)
-    assert gb == buchberger(gens)
-    for basis_elem, row in zip(gb, reps):
-        total = Polynomial.zero(4)
-        for coeff, g in zip(row, gens):
-            total = total + coeff * g
-        assert total == basis_elem
-
-
 def test_gb_syzygies_annihilate(rng):
     gens = [random_form(rng, 2), random_form(rng, 2)]
     gb = buchberger(gens)
@@ -135,6 +124,51 @@ def test_gb_syzygies_annihilate(rng):
         for coeff, g in zip(row, gb):
             total = total + coeff * g
         assert total.is_zero()
+
+
+def _syzygy_span_dimension(syzygies, degrees, degree):
+    """Dimension of the degree-``degree`` part of the submodule of
+    directsum_i S(-degrees[i]) that the rows generate."""
+    from hilb4n.ideals import FormSpace
+    from hilb4n.linalg import Subspace
+
+    spaces = [FormSpace((), degree - d) for d in degrees]
+    vectors = []
+    for row in syzygies:
+        row_degree = next(p.homogeneous_degree() + d for p, d in zip(row, degrees) if p)
+        for m in monomials_of_degree(degree - row_degree, 4):
+            vectors.append([c for p, space in zip(row, spaces)
+                            for c in space.coords(p.mul_monomial(m) if p else p)])
+    return Subspace(vectors, sum(len(space.monos) for space in spaces)).dim
+
+
+def _generation_samples(catalog, rng):
+    from hilb4n.ideals import Ideal
+    from hilb4n.strata import sample_stratum
+
+    yield from (catalog[name].ideal for name in ("B3", "B4", "B5", "B6"))
+    yield from (sample_stratum(label, rng) for label in ("V", "R3'", "R4", "R5", "R6"))
+    yield Ideal([x * z - y * y, y * t - z * z, x * t - y * z])  # twisted cubic
+
+
+def test_gb_syzygies_generate(catalog, rng):
+    """In every degree through the largest pair lcm plus one, the syzygy rows
+    span the whole kernel of directsum_i S_{D - d_i} -> I_D, whose dimension
+    is sum_i dim S_{D - d_i} - dim I_D.  Schreyer syzygies live in the lcm
+    degrees, so this proves that they generate."""
+    from hilb4n.hilbert import hilbert_function
+    from hilb4n.poly import monomial_lcm
+
+    for I in _generation_samples(catalog, rng):
+        gb = list(I.groebner_basis())
+        degrees = [g.homogeneous_degree() for g in gb]
+        syzygies = gb_syzygies(gb)
+        lms = [g.leading_monomial() for g in gb]
+        top = max(sum(monomial_lcm(a, b)) for k, a in enumerate(lms) for b in lms[k + 1:])
+        for D in range(top + 2):
+            module = sum(comb(D - d + 3, 3) for d in degrees if D >= d)
+            kernel = module - hilbert_function(I, D)
+            assert _syzygy_span_dimension(syzygies, degrees, D) == kernel, (I, D)
 
 
 def test_degree_truncated_basis_agrees_low_degrees(rng):

@@ -11,6 +11,7 @@ from hilb4n.ideals import (
     Ideal,
     divide_exact,
     equal,
+    forms_to_change,
     graded_monomial_basis,
     groebner_basis,
     initial_ideal,
@@ -22,7 +23,6 @@ from hilb4n.ideals import (
     saturate_by_variable,
     saturate_irrelevant,
     saturating_form,
-    syzygy_generators,
 )
 from hilb4n.orders import LEX
 from hilb4n.poly import Polynomial, random_form, variables
@@ -90,6 +90,14 @@ def test_saturate_by_linear_form():
     I = Ideal([(x * x - y * t) * (x + y + t)])
     sat = saturate(I, x + y + t)
     assert equal(sat, Ideal([x * x - y * t]))
+
+
+def test_forms_to_change_sends_each_form_to_its_variable():
+    for nvars in (2, 4, 5):
+        xs = variables(nvars)
+        forms = [xs[1] + xs[0], *xs[2:], xs[0] - xs[-1].scale(3)]
+        change = forms_to_change(forms)
+        assert [change.apply(f) for f in forms] == list(xs)
 
 
 def test_saturate_by_general_form(rng):
@@ -204,49 +212,6 @@ def test_gcd_lcm_adjunction(rng):
         product = gcd * lcm
         ratio_ok = divide_exact(f * g, product) or divide_exact(product, f * g)
         assert ratio_ok is not None and ratio_ok.homogeneous_degree() == 0
-
-
-def test_syzygy_examples(rng):
-    rows = syzygy_generators(Ideal([x, y]))
-    assert len(rows) == 1
-    assert rows[0][0] * x + rows[0][1] * y == Polynomial.zero(4)
-
-
-def test_syzygies_annihilate_monomial(catalog):
-    b3 = catalog["B3"].ideal
-    for row in syzygy_generators(b3):
-        total = Polynomial.zero(4)
-        for coeff, g in zip(row, b3.gens):
-            total = total + coeff * g
-        assert total.is_zero()
-
-
-def test_ci_koszul_syzygy(rng):
-    from hilb4n.strata import gcd_forms
-    from hilb4n.hilbert import hilbert_function
-
-    while True:
-        f, g = random_form(rng, 2), random_form(rng, 2)
-        if gcd_forms(f, g).homogeneous_degree() == 0:
-            break
-    I = Ideal([f, g])
-    # coprime quadrics: dim (f,g)_3 = 8, so the syzygy module starts in degree 4
-    assert hilbert_function(I, 3) == 8
-    rows = syzygy_generators(I)
-    nonzero = [row for row in rows if any(not p.is_zero() for p in row)]
-    for row in nonzero:
-        assert row[0] * f + row[1] * g == Polynomial.zero(4)
-    # the syzygy module is free of rank one on the Koszul relation (g, -f), so
-    # a degree-4 generator must be present (degree-4 elements are its scalar
-    # multiples, and higher-degree rows cannot generate it)
-    koszul = [
-        row
-        for row in nonzero
-        if row[0].homogeneous_degree() == 2 and row[1].homogeneous_degree() == 2
-    ]
-    assert koszul
-    for row in koszul:
-        assert row[0].scale(g.leading_coefficient()) == g.scale(row[0].leading_coefficient())
 
 
 def test_minimal_generators(catalog):

@@ -1,5 +1,7 @@
 import pytest
 
+from hilb4n import groebner
+from hilb4n.groebner import gb_syzygies
 from hilb4n.ideals import Ideal, intersect
 from hilb4n.poly import LinearChange, apply_change, variables
 from hilb4n.strata import sample_stratum
@@ -46,13 +48,17 @@ def test_unsaturated_ideal_rejected():
             tangent_dimension(I)
 
 
-def test_linear_change_invariance(rng):
-    I = sample_stratum("R3'", rng)
-    base = tangent_dimension(I).dimension
-    for _ in range(5):
-        g = LinearChange.random(rng, bound=5)
-        moved = Ideal([apply_change(p, g) for p in I.gens])
-        assert tangent_dimension(moved).dimension == base
+def test_linear_change_invariance(catalog, rng):
+    # a V sample's reduced basis has a cubic beyond its two minimal quadrics,
+    # and B5 stops being monomial after a change of coordinates
+    for I, changes in ((sample_stratum("R3'", rng), 5), (sample_stratum("V", rng), 2),
+                       (catalog["B5"].ideal, 2)):
+        base = tangent_dimension(I)
+        for _ in range(changes):
+            g = LinearChange.random(rng, bound=5)
+            moved = tangent_dimension(Ideal([apply_change(p, g) for p in I.gens]))
+            assert moved.dimension == base.dimension
+            assert sorted(moved.generator_degrees) == sorted(base.generator_degrees)
 
 
 def test_generator_permutation_invariance(catalog, rng):
@@ -63,9 +69,18 @@ def test_generator_permutation_invariance(catalog, rng):
     assert tangent_dimension(Ideal(gens)).dimension == base
 
 
-def test_syzygy_set_independence(catalog):
-    # adding redundant Taylor syzygies does not change the kernel: recompute
-    # with duplicated generators, which enlarges the presentation
-    I = catalog["B6"].ideal
-    doubled = Ideal(list(I.gens) + [I.gens[0]])
-    assert tangent_dimension(doubled).dimension == tangent_dimension(I).dimension
+def test_syzygy_set_independence(catalog, monkeypatch):
+    # redundant syzygies (a repeated row and multiples of every row by linear
+    # forms) do not change the kernel
+    def with_redundant_rows(gb):
+        rows = gb_syzygies(gb)
+        return rows + rows[:1] + [[p * v for p in row] for row in rows for v in (x, z + t)]
+
+    for name in ("B4", "B6"):
+        I = catalog[name].ideal
+        base = tangent_dimension(I)
+        monkeypatch.setattr(groebner, "gb_syzygies", with_redundant_rows)
+        padded = tangent_dimension(I)
+        monkeypatch.undo()
+        assert padded.dimension == base.dimension
+        assert padded.constraint_count > base.constraint_count
