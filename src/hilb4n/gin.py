@@ -1,9 +1,12 @@
 """Generic initial ideals via randomized coordinate changes.
 
 Genericity is enforced as a runtime contract: a candidate gin is accepted only
-if it is strongly stable, two independent trials agree, and the Hilbert
-function is preserved in low degrees; otherwise the coefficient bound doubles
-and the draw repeats.  The saturation test ``is_saturated`` draws nothing.
+if it is strongly stable, two independent trials agree, the Hilbert function
+is preserved in low degrees, and its largest generator degree is the
+regularity of the ideal (Bayer-Stillman, characteristic 0), which
+``hilbert.regularity`` reads deterministically off the degrevlex initial
+ideal; otherwise the coefficient bound doubles and the draw repeats.  The
+saturation test ``is_saturated`` draws nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .borel import is_strongly_stable
-from .hilbert import hilbert_function
+from .hilbert import hilbert_function, regularity
 from .ideals import Ideal, equal, groebner_basis, monomial_ideal, saturate_irrelevant
 from .orders import DEGREVLEX, Exponent
 from .poly import LinearChange
@@ -41,8 +44,9 @@ def generic_initial_ideal(I: Ideal, rng: Optional[random.Random] = None) -> GinR
     """Degrevlex generic initial ideal with verified genericity.
 
     Accepts a candidate only when (a) it is strongly stable, (b) two
-    independent random trials agree, and (c) the Hilbert function of I is
-    preserved through degree 8.  Retries with doubled coefficient bound.
+    independent random trials agree, (c) the Hilbert function of I is
+    preserved through degree 8, and (d) its largest generator degree is
+    ``regularity(I)``.  Retries with doubled coefficient bound.
     """
     if I.is_zero():
         raise ValueError("gin of the zero ideal is undefined")
@@ -55,10 +59,11 @@ def generic_initial_ideal(I: Ideal, rng: Optional[random.Random] = None) -> GinR
         return result
     rng = rng if rng is not None else random.Random(_DEFAULT_SEED)
     hf_target = [hilbert_function(I, n) for n in range(_HF_CHECK_DEGREE + 1)]
+    reg_target = regularity(I)
 
     def acceptable(cand: Tuple[Exponent, ...]) -> bool:
         M = monomial_ideal(cand, I.nvars)
-        if not is_strongly_stable(M):
+        if not is_strongly_stable(M) or max(sum(g) for g in cand) != reg_target:
             return False
         return all(hilbert_function(M, n) == hf_target[n] for n in range(_HF_CHECK_DEGREE + 1))
 

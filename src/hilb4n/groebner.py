@@ -266,17 +266,20 @@ def gb_syzygies(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> L
     Every S-pair of the basis reduces to zero; its traced reduction yields one
     relation.  The full pair set is processed, so by Schreyer's theorem the
     returned vectors generate all syzygies of ``gb`` (Eisenbud, *Commutative
-    Algebra*, Thm 15.10).
+    Algebra*, Thm 15.10).  A ``_Prepared`` basis lends its integer forms.
     """
+    if not (isinstance(gb, _Prepared) and gb.order == order):
+        gb = _Prepared(gb, order)
     nvars = gb[0].nvars if gb else 0
-    data = [_to_int_poly(g) for g in gb]
-    basis = [_Basis(q, order) for q, _ in data]
+    basis = gb.basis
+    # basis[k] is gb[k] scaled by scales[k]
+    scales = [b.lc / g.terms[b.lm] for g, b in zip(gb, basis)]
     syz: List[List[Polynomial]] = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             row = _spair_syzygy(basis, i, j, order, nvars)
-            # rescale to act on the exact (monic) basis elements
-            row = [p.scale(1 / data[k][1]) if p else p for k, p in enumerate(row)]
+            # rescale to act on the exact basis elements
+            row = [p.scale(scales[k]) if p else p for k, p in enumerate(row)]
             if any(row):
                 syz.append(row)
     return syz

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ideals import Ideal, initial_ideal, minimalize_monomials
+from .ideals import Ideal, groebner_basis, initial_ideal, minimalize_monomials
+from .ideals import saturating_form, to_last_variable
 from .orders import Exponent
-from .poly import count_monomials, monomials_of_degree
+from .poly import Polynomial, count_monomials, monomials_of_degree
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +284,60 @@ def quotient_hilbert_polynomial(I: Ideal) -> HilbertPolynomial:
 # ---------------------------------------------------------------------------
 # regularity
 
+def _torsion_top(lead: Sequence[Exponent], nvars: int) -> Optional[int]:
+    """For the monomial ideal M = (lead) and v the last variable: the last
+    degree where the quotient Hilbert functions of M and M : v^infinity
+    differ (-1 when they agree), or None when their Hilbert polynomials
+    differ.  The difference of the series numerators is divided exactly by
+    (1 - T)^nvars; a nonzero remainder means an infinite difference."""
+    diff = _series_numerator(tuple(lead), nvars)
+    sat = minimalize_monomials(m[:-1] + (0,) for m in lead)
+    for k, c in _series_numerator(tuple(sat), nvars).items():
+        diff[k] = diff.get(k, 0) - c
+    coeffs = [diff.get(k, 0) for k in range(max(diff) + nvars + 1)]
+    for _ in range(nvars):
+        coeffs = list(accumulate(coeffs))  # times 1 / (1 - T)
+        if coeffs.pop():
+            return None
+    return max((k for k, c in enumerate(coeffs) if c), default=-1)
+
+
+def _cut_last_variable(g: Polynomial) -> Polynomial:
+    """g divided by the largest power of the last variable v dividing it, at
+    v = 0, in the ring without v."""
+    k = min(e[-1] for e in g.terms)
+    return Polynomial._exact({e[:-1]: c for e, c in g.terms.items() if e[-1] == k}, g.nvars - 1)
+
+
 def regularity(I: Ideal) -> int:
-    """Castelnuovo-Mumford regularity: the maximal minimal-generator degree of
-    the generic initial ideal (characteristic 0, degrevlex)."""
+    """Castelnuovo-Mumford regularity reg(I) = reg(S/I) + 1, read off the
+    cached degrevlex initial ideal M (Bayer-Stillman, Invent. Math. 87, 1987).
+
+    For v the last variable, in(I : v^inf) = M : v^inf (Eisenbud, Commutative
+    Algebra, Prop. 15.12).  When that keeps the Hilbert polynomial, it is
+    I^sat and v is a nonzerodivisor on S/I^sat, so reg(S/I) is the larger of
+    ``_torsion_top`` and reg(S/(I^sat + v)), one variable down: the basis
+    divided by powers of v and cut at v = 0.  An Artinian level contributes
+    its top degree.  When v is a zerodivisor, one Buchberger moves the level
+    so that ``saturating_form``'s form is the last variable.
+    """
     if I.is_zero():
         raise ValueError("regularity of the zero ideal is undefined")
-    from .borel import is_strongly_stable
-
-    if I.is_monomial() and is_strongly_stable(I):
-        return max(sum(g) for g in I.monomial_generators())
-    from .gin import generic_initial_ideal
-
-    result = generic_initial_ideal(I)
-    return max(sum(g) for g in result.gin.monomial_generators())
+    level, basis, nvars, top = I, I.groebner_basis(), I.nvars, -1
+    while nvars:
+        lead = minimalize_monomials(g.leading_monomial() for g in basis)
+        if not sum(lead[-1]):
+            break  # the unit ideal
+        end = _torsion_top(lead, nvars)
+        if end is None:
+            change = to_last_variable(saturating_form(level)[0])
+            basis = groebner_basis([change.apply(g) for g in level.gens])
+            continue
+        top = max(top, end)
+        basis = [_cut_last_variable(g) for g in basis]
+        nvars -= 1
+        level = Ideal(basis, nvars)
+    return top + 1
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def equal(I: Ideal, J: Ideal) -> bool:
 
 
 def minimal_generators(I: Ideal) -> List[Polynomial]:
-    """Minimal homogeneous generators.
+    """Minimal homogeneous generators, by ascending degree.
 
     In each degree d, the reduced basis elements of degree d span I_d together
     with P_1 * I_{d-1}, so a basis of I_d modulo P_1 * I_{d-1} chosen among
@@ -250,7 +250,7 @@ def minimal_generators(I: Ideal) -> List[Polynomial]:
     if I.is_zero():
         return []
     if I.is_monomial():
-        return [Polynomial.monomial(e) for e in I.monomial_generators()]
+        return [Polynomial.monomial(e) for e in sorted(I.monomial_generators(), key=sum)]
     gb = list(I.groebner_basis(DEGREVLEX))
     degrees = sorted({g.homogeneous_degree() for g in gb})
     kept: List[Polynomial] = []
@@ -343,8 +343,10 @@ def saturate_by_variable(I: Ideal, var: int) -> Ideal:
     n = I.nvars
     perm = [i for i in range(n) if i != var] + [var]
     inv = [perm.index(i) for i in range(n)]
-    gens = [_permute_poly(g, perm) for g in I.gens]
-    gb = groebner_basis(gens, DEGREVLEX)
+    if var == n - 1:  # the identity permutation: the cached basis serves
+        gb = I.groebner_basis()
+    else:
+        gb = groebner_basis([_permute_poly(g, perm) for g in I.gens], DEGREVLEX)
     out = []
     for g in gb:
         v = min(e[n - 1] for e in g.terms)
@@ -364,10 +366,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     if var is not None:
         return saturate_by_variable(I, var)
     if f.homogeneous_degree() == 1:
-        # change coordinates so the form becomes the last variable
-        lead = f.leading_monomial().index(1)
-        others = [v for i, v in enumerate(variables(I.nvars)) if i != lead]
-        change = forms_to_change(others + [f])
+        change = to_last_variable(f)
         moved = Ideal([change.apply(g) for g in I.gens], I.nvars)
         sat = saturate_by_variable(moved, I.nvars - 1)
         back = change.inverse()
@@ -394,6 +393,14 @@ def forms_to_change(forms: Sequence[Polynomial]) -> LinearChange:
     i-th variable (forms transform by v -> v A, so A inverts the row matrix)."""
     linear = FormSpace((), 1, forms[0].nvars)
     return LinearChange([linear.coords(f) for f in forms]).inverse()
+
+
+def to_last_variable(f: Polynomial) -> LinearChange:
+    """The change of coordinates sending the linear form f to the last
+    variable and the other variables, in order, to the first ones."""
+    lead = f.leading_monomial().index(1)
+    others = [v for i, v in enumerate(variables(f.nvars)) if i != lead]
+    return forms_to_change(others + [f])
 
 
 def _search_forms(nvars: int) -> Iterator[Polynomial]:
