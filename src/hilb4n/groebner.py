@@ -52,6 +52,15 @@ def _to_int_poly(p: Polynomial) -> Tuple[IntPoly, Fraction]:
     return {e: v // g for e, v in ints.items()}, Fraction(g, den)
 
 
+def _mul_int(p: IntPoly, q: IntPoly) -> IntPoly:
+    out: IntPoly = {}
+    for ep, cp in p.items():
+        for eq, cq in q.items():
+            k = monomial_mul(ep, eq)
+            out[k] = out.get(k, 0) + cp * cq
+    return {e: c for e, c in out.items() if c}
+
+
 def _as_poly(p: IntPoly, nvars: int, factor: Fraction = Fraction(1)) -> Polynomial:
     return Polynomial({e: factor * c for e, c in p.items()}, nvars)
 

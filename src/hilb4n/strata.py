@@ -90,6 +90,16 @@ def gcd_forms(f: Polynomial, g: Polynomial) -> Polynomial:
     return gcd.monic()
 
 
+def coprime_quadrics(f: Polynomial, g: Polynomial) -> bool:
+    """Whether two quadrics have no common factor, by one rank check.
+
+    Independent quadrics share a linear factor exactly when they have a
+    linear syzygy a*f = b*g, so f and g are coprime exactly when their
+    products with the variables are independent; proportional quadrics fail
+    the same check."""
+    return FormSpace([f, g], 3, f.nvars).dim == 2 * f.nvars
+
+
 def factor_quadric_net(
     quadrics: Sequence[Polynomial],
 ) -> Optional[Tuple[Polynomial, List[Polynomial]]]:
@@ -127,10 +137,7 @@ class CIShape:
     def validate(self):
         _require(self.f.homogeneous_degree() == 2, "f must be a quadric")
         _require(self.g.homogeneous_degree() == 2, "g must be a quadric")
-        _require(
-            gcd_forms(self.f, self.g).homogeneous_degree() == 0,
-            "f and g must have no common divisor",
-        )
+        _require(coprime_quadrics(self.f, self.g), "f and g must have no common divisor")
 
 
 @dataclass(frozen=True)
@@ -534,7 +541,7 @@ def classify(I: Ideal) -> StratumReport:
         quadrics = FormSpace(I.gens, 2, I.nvars).basis()
         if len(quadrics) != 2:
             raise ArithmeticError("a regularity-3 point must have two quadric generators")
-        ci = gcd_forms(quadrics[0], quadrics[1]).homogeneous_degree() == 0
+        ci = coprime_quadrics(quadrics[0], quadrics[1])
         stratum = "V" if ci else "R3'"
         certain, unknown = ("H_VA",), ("H_RS",)
     else:

@@ -8,23 +8,29 @@ by the basis's Schreyer syzygies, the traced reductions of its S-pairs, which
 generate all its syzygies (Eisenbud, Commutative Algebra, Thm 15.10).  M
 agrees with P/I from the regularity on, and its low graded pieces are realized
 inside a fixed high degree R by multiplication with a power of a linear
-nonzerodivisor l: the image of M_d in (P/I)_R is the degree-R part of the
+nonzerodivisor l: the image of M_d in (P/I)_R is J_R / I_R, where J is the
 saturation of I + (l^{R-d}).  l is the form ``saturating_form`` returns, whose
 saturation of I is certified equal to I: the first of t, z, y, x that is a
-nonzerodivisor, else the first such moment form x + c*y + c^2*z + c^3*t.  The
-dimension is then the exact kernel dimension of a linear system over Q.
+nonzerodivisor, else the first such moment form x + c*y + c^2*z + c^3*t.
+
+The basis of J_R / I_R is read off J's reduced degrevlex basis: the forms
+u - NF_J(u) for the monomials u of degree R in in(J) but not in in(I)
+(Macaulay; Eisenbud, Thm 15.3).  in(I) lies in in(J), so no term of NF_J(u)
+lies in in(I): the forms are already reduced modulo I, and their leading
+monomials u are distinct.  The constraint rows are built on primitive integer
+forms, each syzygy's block scaled by one integer, and the dimension is the
+exact kernel dimension of that linear system over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from typing import List, Tuple
+from math import lcm
+from typing import Dict, List, Tuple
 
 from .hilbert import regularity
 from .ideals import (
-    FormSpace,
     Ideal,
     equal,
     graded_monomial_basis,
@@ -54,19 +60,19 @@ def _standard_monomials(in_gens, degree: int, nvars: int) -> List[Exponent]:
     ]
 
 
-def _section_space(I: Ideal, ell: Polynomial, k: int, degree_r: int,
-                   in_gens, gb) -> List[Polynomial]:
-    """Basis of the image of H0(O_X(degree_r - k)) in (P/I)_{degree_r}: the
-    degree-R part of the saturation of I + (ell^k), reduced modulo I."""
+def _section_space(I: Ideal, ell: Polynomial, k: int,
+                   standard: List[Exponent]) -> List[Polynomial]:
+    """Basis of the image of H0(O_X(R - k)) in (P/I)_R, reduced modulo I;
+    ``standard`` lists the degree-R monomials outside in(I)."""
     if k == 0:
-        return [Polynomial.monomial(m) for m in _standard_monomials(in_gens, degree_r, I.nvars)]
-    bumped = saturate_irrelevant(Ideal(list(I.gens) + [ell**k], I.nvars))
-    space = FormSpace((), degree_r, I.nvars)
-    basis: List[Polynomial] = []
-    for rep in FormSpace(bumped.gens, degree_r, I.nvars).basis():
-        reduced = _gb.normal_form_poly(rep, gb)
-        if reduced and space.add(reduced):
-            basis.append(reduced)
+        return [Polynomial.monomial(m) for m in standard]
+    saturation = saturate_irrelevant(Ideal(list(I.gens) + [ell**k], I.nvars))
+    bumped = _gb._Prepared(saturation.groebner_basis())
+    basis = []
+    for u in standard:
+        if any(monomial_divides(g.lm, u) for g in bumped.basis):
+            mono = Polynomial.monomial(u)
+            basis.append(mono - _gb.normal_form_poly(mono, bumped))
     return basis
 
 
@@ -86,34 +92,47 @@ def tangent_dimension(I: Ideal) -> TangentReport:
     syzygies = _gb.gb_syzygies(gb)
     in_gens = initial_ideal(I).monomial_generators()
     degree_r = max(regularity(I), max(degrees))
+    standard_r = _standard_monomials(in_gens, degree_r, I.nvars)
 
-    # image of each needed section space inside degree R, modulo I
-    section_bases = {d: _section_space(I, ell, degree_r - d, degree_r, in_gens, gb)
-                     for d in sorted(set(degrees))}
+    # image of each needed section space inside degree R, modulo I, as
+    # primitive integer forms: rescaling a column keeps the kernel dimension
+    section_bases = {d: [_gb._to_int_poly(w)[0]
+                         for w in _section_space(I, ell, degree_r - d, standard_r)]
+                     for d in set(degrees)}
     blocks = [section_bases[d] for d in degrees]
     offsets = [0, *accumulate(len(b) for b in blocks)]
     total_unknowns = offsets[-1]
     shift = degree_r - min(degrees)  # uniform multiplier exponent
+    # s_i * l^shift * phi_i = s_i * l^(shift - k_i) * w_i with k_i = R - d_i
+    powers = {d: ell ** (shift - (degree_r - d)) for d in set(degrees)}
+    targets: Dict[int, Dict[Exponent, int]] = {}  # row of each standard monomial, by degree
 
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
     for syz in syzygies:
         syz_degree = next((s.homogeneous_degree() + d for s, d in zip(syz, degrees) if s), None)
         if syz_degree is None:
             continue
         target_degree = syz_degree + shift
-        target = _standard_monomials(in_gens, target_degree, I.nvars)
-        index = {m: i for i, m in enumerate(target)}
-        block_rows = [[Fraction(0)] * total_unknowns for _ in target]
+        index = targets.get(target_degree)
+        if index is None:
+            index = targets[target_degree] = {
+                m: i for i, m in enumerate(_standard_monomials(in_gens, target_degree, I.nvars))}
+        columns = []  # (column, integer image, its rational factor)
         for gi, s in enumerate(syz):
             if not s:
                 continue
-            # s_i * l^shift * phi_i = s_i * l^(shift - k_i) * w_i with k_i = R - d_i
-            multiplier = s * ell ** (shift - (degree_r - degrees[gi]))
+            multiplier, m_scale = _gb._to_int_poly(s * powers[degrees[gi]])
             for bi, w in enumerate(blocks[gi]):
-                image = _gb.normal_form_poly(multiplier * w, gb)
-                col = offsets[gi] + bi
-                for e, c in image.terms.items():
-                    block_rows[index[e]][col] += c
+                image, mult = _gb._normal_form_int(_gb._mul_int(multiplier, w), gb.basis, gb.order)
+                if image:
+                    columns.append((offsets[gi] + bi, image, m_scale / mult))
+        # scaling the block by the lcm of the factors' denominators keeps its kernel
+        scale = lcm(*(f.denominator for _, _, f in columns))
+        block_rows = [[0] * total_unknowns for _ in index]
+        for col, image, f in columns:
+            f = f.numerator * (scale // f.denominator)
+            for e, c in image.items():
+                block_rows[index[e]][col] = f * c
         rows.extend(block_rows)
 
     return TangentReport(

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hilb4n.hilbert import hilbert_function, quotient_hilbert_polynomial
-from hilb4n.ideals import Ideal, equal
+from hilb4n.ideals import FormSpace, Ideal, equal
 from hilb4n.poly import LinearChange, apply_change, random_form, variables
 from hilb4n.strata import (
     FOUR_N,
@@ -17,6 +17,7 @@ from hilb4n.strata import (
     ShapeError,
     build_stratum_ideal,
     classify,
+    coprime_quadrics,
     dimension_table,
     factor_quadric_net,
     gcd_forms,
@@ -43,6 +44,21 @@ def test_gcd_of_generic_quadrics_is_one(rng):
         f, g = random_form(rng, 2), random_form(rng, 2)
         if gcd_forms(f, g).homogeneous_degree() == 0:
             assert hilbert_function(Ideal([f, g]), 3) == 8
+
+
+def test_coprime_quadrics_agrees_with_gcd(rng):
+    def quadric_pair(I):
+        quadrics = FormSpace(I.gens, 2, I.nvars).basis()
+        assert len(quadrics) == 2
+        return quadrics
+
+    pairs = [quadric_pair(sample_stratum(label, rng)) for label in ("V", "V", "R3'", "R3'")]
+    f = random_form(rng, 2)
+    pairs += [(f, f.scale(Fraction(-3, 2))), (x * y, x * z), (x * x, y * y)]
+    for f, g in pairs:
+        assert coprime_quadrics(f, g) == (gcd_forms(f, g).homogeneous_degree() == 0)
+    assert [coprime_quadrics(f, g) for f, g in pairs] == [True, True, False, False,
+                                                         False, False, True]
 
 
 def test_factor_quadric_net_examples():

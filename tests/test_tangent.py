@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from hilb4n import groebner
-from hilb4n.groebner import gb_syzygies
-from hilb4n.ideals import Ideal, intersect
+from hilb4n.groebner import gb_syzygies, normal_form_poly
+from hilb4n.hilbert import regularity
+from hilb4n.ideals import FormSpace, Ideal, intersect, saturate_irrelevant, saturating_form
 from hilb4n.poly import LinearChange, apply_change, variables
-from hilb4n.strata import sample_stratum
-from hilb4n.tangent import tangent_dimension
+from hilb4n.strata import _subring_contains, sample_stratum, sample_stratum_with_shape
+from hilb4n.tangent import TangentReport, _section_space, _standard_monomials, tangent_dimension
 
 x, y, z, t = variables()
 
@@ -14,6 +17,62 @@ def test_lex_point_dimension(catalog):
     report = tangent_dimension(catalog["B6"].ideal)
     assert report.dimension == 23
     assert sorted(report.generator_degrees) == [1, 5, 6]
+
+
+def test_catalog_reports_pinned(catalog):
+    # the row count is pinned too, so a change in the constraint system shows
+    pinned = {"B3": (16, (2, 2, 3), 60), "B4": (24, (2, 2, 3, 4), 164),
+              "B5": (27, (2, 2, 2, 5, 5), 336), "B6": (23, (1, 5, 6), 140)}
+    for name, report in pinned.items():
+        assert tangent_dimension(catalog[name].ideal) == TangentReport(*report)
+
+
+def _reference_section_space(I, ell, k, degree_r):
+    """The former route: the degree-R piece of the saturation of I + (ell^k),
+    reduced modulo I."""
+    bumped = saturate_irrelevant(Ideal(list(I.gens) + [ell**k], I.nvars))
+    gb = I.groebner_basis()
+    reduced = (normal_form_poly(w, gb) for w in FormSpace(bumped.gens, degree_r, I.nvars).basis())
+    return [w for w in reduced if w]
+
+
+def test_section_space_matches_reference(catalog, rng):
+    ideals = [catalog[name].ideal for name in ("B3", "B4", "B5", "B6")]
+    ideals += [sample_stratum("V", rng), sample_stratum("R4", rng)]
+    # at monomial ideals and at these samples every u lies in the saturation
+    # itself; at this R5 draw the forms u - NF(u) have tails
+    ideals.append(sample_stratum_with_shape("R5", random.Random("tangent-points:4:(2, 7)"))[1])
+    for I in ideals:
+        ell = saturating_form(I)[0]
+        gb = I.groebner_basis()
+        degrees = {g.homogeneous_degree() for g in gb}
+        degree_r = max(regularity(I), max(degrees))
+        in_gens = [g.leading_monomial() for g in gb]
+        standard = _standard_monomials(in_gens, degree_r, I.nvars)
+        for k in {degree_r - d for d in degrees if d < degree_r}:
+            basis = _section_space(I, ell, k, standard)
+            reference = _reference_section_space(I, ell, k, degree_r)
+            # the same subspace of (P/I)_R, given by reduced forms with
+            # distinct leading monomials
+            assert all(normal_form_poly(w, gb) == w for w in basis)
+            assert len({w.leading_monomial() for w in basis}) == len(basis)
+            assert FormSpace(basis, degree_r, I.nvars).dim == len(basis)
+            assert FormSpace(reference, degree_r, I.nvars).dim == len(basis)
+            assert FormSpace(basis + reference, degree_r, I.nvars).dim == len(basis)
+
+
+def test_r5_planar_draw_has_the_larger_tangent_space():
+    # two case-2 draws without a torus term: only the planar one, whose ell1,
+    # ell2 and h avoid w, has the tangent space of B5
+    for key, planar, dimension in (("tangent-points:1:(1, 7)", True, 27),
+                                   ("tangent-points:4:(2, 7)", False, 23)):
+        shape, I = sample_stratum_with_shape("R5", random.Random(key))
+        assert (shape.case, shape.alpha) == (2, 0)
+        plane = shape.complement_frame()[:2]
+        assert planar == (FormSpace(plane, 1).contains(shape.ell1)
+                          and FormSpace(plane, 1).contains(shape.ell2)
+                          and _subring_contains(plane, shape.h, 4))
+        assert tangent_dimension(I).dimension == dimension
 
 
 def test_ci_dimension(rng):
