@@ -36,6 +36,7 @@ from .strata import (
     StratumReport,
     build_stratum_ideal,
     classify,
+    coprime_quadrics,
     factor_quadric_net,
     gcd_forms,
 )
@@ -275,7 +276,7 @@ def va_degeneration(I: Ideal, rng: Optional[random.Random] = None) -> Tuple[Para
         value = Fraction(rng.randint(1, 999983))
         fiber = family.specialize(value)
         fgens = fiber.gens
-        if len(fgens) == 2 and gcd_forms(fgens[0], fgens[1]).homogeneous_degree() == 0:
+        if len(fgens) == 2 and coprime_quadrics(fgens[0], fgens[1]):
             checked += 1
     if checked < 3:
         raise ArithmeticError("generic fibres failed the complete-intersection check")

@@ -190,17 +190,11 @@ def _spair(f: _Basis, g: _Basis) -> IntPoly:
     return out
 
 
-def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = DEGREVLEX,
-    max_degree: Optional[int] = None,
-) -> List[Polynomial]:
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> List[Polynomial]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Pairs are taken by the normal strategy (least lcm degree, then least lcm)
-    and skipped by both classical criteria.  ``max_degree`` truncates the pair
-    queue (valid for homogeneous input when only graded pieces up to that
-    degree are consumed downstream).
+    and skipped by both classical criteria.
     """
     nvars = gens[0].nvars if gens else 0
     basis = [_Basis(gi, order) for gi in (_to_int_poly(g)[0] for g in gens) if gi]
@@ -220,8 +214,6 @@ def buchberger(
         i, j = min(pairs, key=keys.__getitem__)
         pairs.discard((i, j))
         lcm = lcm_of(i, j)
-        if max_degree is not None and sum(lcm) > max_degree:
-            continue
         # coprime leading monomials: S-pair reduces to zero
         if not any(monomial_gcd(basis[i].lm, basis[j].lm)):
             continue

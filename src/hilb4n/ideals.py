@@ -198,9 +198,7 @@ def _monomial_saturate_var(monos: Sequence[Exponent], var: int, nvars: int) -> L
 # core operations
 
 def groebner_basis(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = DEGREVLEX,
-    max_degree: Optional[int] = None,
+    gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
 ) -> List[Polynomial]:
     """Reduced Groebner basis of the ideal the generators span."""
     gens = [g for g in gens if g and not g.is_zero()]
@@ -212,7 +210,7 @@ def groebner_basis(
     if isinstance(order, DegRevLex):
         linear, rest = _gb.reduce_by_linear_forms(gens)
         if linear and rest:
-            inner = _gb.buchberger(rest, order, max_degree=max_degree)
+            inner = _gb.buchberger(rest, order)
             if any(g.homogeneous_degree() == 0 for g in inner):
                 return inner  # the unit ideal absorbs the linear forms
             combined = linear + inner
@@ -220,7 +218,7 @@ def groebner_basis(
             return combined
         if linear and not rest:
             return linear
-    return _gb.buchberger(gens, order, max_degree=max_degree)
+    return _gb.buchberger(gens, order)
 
 
 def normal_form(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> Polynomial:

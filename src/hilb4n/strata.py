@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .gin import is_saturated
 from .hilbert import (
@@ -20,18 +20,9 @@ from .hilbert import (
     quotient_hilbert_polynomial,
     regularity,
 )
-from .ideals import FormSpace, Ideal, divide_exact, intersect
-from .linalg import rank
-from .poly import (
-    NVARS,
-    Polynomial,
-    count_monomials,
-    linear_form,
-    monomial_gcd,
-    monomials_of_degree,
-    random_form,
-    variables,
-)
+from .ideals import FormSpace, Ideal, divide_exact, forms_to_change, intersect
+from .linalg import kernel_basis, rank
+from .poly import NVARS, Polynomial, count_monomials, linear_form, random_form, variables
 
 FOUR_N = HilbertPolynomial([0, 4])
 
@@ -54,40 +45,45 @@ def _require(cond: bool, clause: str):
         raise ShapeError(clause)
 
 
-def _subring_contains(frame: Sequence[Polynomial], f: Polynomial, degree: int) -> bool:
-    """Membership of a degree-d form in the subring generated by linear forms."""
-    if f.is_zero():
-        return True
-    products = []
-    for e in monomials_of_degree(degree, len(frame)):
-        p = Polynomial.constant(1, f.nvars)
-        for form, k in zip(frame, e):
-            for _ in range(k):
-                p = p * form
-        products.append(p)
-    return FormSpace(products, degree, f.nvars).contains(f)
+def _subring_contains(frame: Sequence[Polynomial], f: Polynomial) -> bool:
+    """Membership of a form in the subring generated by linear forms.
+
+    The coordinate change sending a basis of the frame's span, completed by
+    variables, to the variables in order takes f into the subring generated
+    by the first variables exactly when f is a polynomial in the frame."""
+    span = FormSpace((), 1, f.nvars)
+    inside = [b for b in frame if span.add(b)]
+    outside = [v for v in variables(f.nvars) if span.add(v)]
+    image = forms_to_change(inside + outside).apply(f)
+    return not any(any(e[len(inside):]) for e in image.terms)
 
 
 # ---------------------------------------------------------------------------
 # gcd of forms and quadric-net factorization
 
 def gcd_forms(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor, computed as f*g divided by the generator
-    of the principal intersection (f) cap (g)."""
+    """Monic greatest common divisor of two forms, read off their least-degree
+    relation u*f = v*g.
+
+    The relations are generated by (g, f) / gcd, so the least degree of u in
+    a nonzero relation is deg g - deg gcd, the relation there is unique up to
+    scale, and gcd = g / u.  One kernel per degree of u; none below deg g
+    means the forms are coprime."""
     if f.is_zero() or g.is_zero():
         raise ValueError("gcd of forms requires nonzero inputs")
-    if f.is_monomial() and g.is_monomial():
-        e = monomial_gcd(f.leading_monomial(), g.leading_monomial())
-        return Polynomial.monomial(e)
-    inter = intersect(Ideal([f]), Ideal([g]))
-    gens = inter.gens
-    if len(gens) != 1:
-        raise ArithmeticError("intersection of principal ideals must be principal")
-    product = f * g
-    gcd = divide_exact(product, gens[0])
-    if gcd is None:
-        raise ArithmeticError("lcm must divide the product of the forms")
-    return gcd.monic()
+    a, b = f.homogeneous_degree(), g.homogeneous_degree()
+    if a is None or b is None:
+        raise ValueError("gcd of forms requires homogeneous inputs")
+    for k in range(max(0, b - a), b):
+        us, vs = FormSpace((), k, f.nvars), FormSpace((), k + a - b, f.nvars)
+        products = FormSpace((), a + k, f.nvars)
+        columns = [products.coords(f.mul_monomial(m)) for m in us.monos]
+        columns += [products.coords(g.mul_monomial(m)) for m in vs.monos]
+        kernel = kernel_basis(list(zip(*columns)))
+        if kernel:
+            u = us.form(kernel[0][: len(us.monos)])
+            return divide_exact(g, u).monic()
+    return Polynomial.constant(1, f.nvars)
 
 
 def coprime_quadrics(f: Polynomial, g: Polynomial) -> bool:
@@ -110,20 +106,16 @@ def factor_quadric_net(
         raise ValueError("a quadric net is given by three independent quadrics")
     if FormSpace(basis, 2, basis[0].nvars).dim != 3:
         raise ValueError("quadrics are not independent")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            g = gcd_forms(basis[i], basis[j])
-            d = g.homogeneous_degree()
-            if d == 0:
-                return None
-            if d == 1:
-                quotients = [divide_exact(q, g) for q in basis]
-                if any(q is None for q in quotients):
-                    return None
-                if FormSpace(quotients, 1).dim != 3:
-                    raise ArithmeticError("factored net must give independent linear forms")
-                return g.monic(), [q.monic() for q in quotients]
-    raise ArithmeticError("independent quadrics cannot be pairwise proportional")
+    # two independent quadrics share at most a linear factor
+    g = gcd_forms(basis[0], basis[1])
+    if g.homogeneous_degree() == 0:
+        return None
+    quotients = [divide_exact(q, g) for q in basis]
+    if any(q is None for q in quotients):
+        return None
+    if FormSpace(quotients, 1).dim != 3:
+        raise ArithmeticError("factored net must give independent linear forms")
+    return g, [q.monic() for q in quotients]
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +125,11 @@ def factor_quadric_net(
 class CIShape:
     f: Polynomial
     g: Polynomial
+    label: ClassVar[str] = "V"
+    regularity: ClassVar[int] = 3
+
+    def generators(self) -> List[Polynomial]:
+        return [self.f, self.g]
 
     def validate(self):
         _require(self.f.homogeneous_degree() == 2, "f must be a quadric")
@@ -146,6 +143,11 @@ class R3PrimeShape:
     ell1: Polynomial
     ell2: Polynomial
     cubic: Polynomial
+    label: ClassVar[str] = "R3'"
+    regularity: ClassVar[int] = 3
+
+    def generators(self) -> List[Polynomial]:
+        return [self.ell * self.ell1, self.ell * self.ell2, self.cubic]
 
     def validate(self):
         for name, form in (("ell", self.ell), ("ell1", self.ell1), ("ell2", self.ell2)):
@@ -170,6 +172,11 @@ class R4Shape:
     ell2: Polynomial
     q: Polynomial
     p: Polynomial
+    label: ClassVar[str] = "R4"
+    regularity: ClassVar[int] = 4
+
+    def generators(self) -> List[Polynomial]:
+        return [self.ell * self.ell1, self.ell * self.ell2, self.ell * self.q, self.p]
 
     def validate(self):
         for name, form in (("ell", self.ell), ("ell1", self.ell1), ("ell2", self.ell2)):
@@ -198,6 +205,14 @@ class R5Shape:
     h: Polynomial
     alpha: Fraction = Fraction(0)
     w: Optional[Polynomial] = None  # distinguished complement variable, case 2
+    label: ClassVar[str] = "R5"
+    regularity: ClassVar[int] = 5
+
+    def generators(self) -> List[Polynomial]:
+        f = self.ell1 * self.h
+        if self.case == 2 and self.alpha != 0:
+            f = f + (self.ell * self.w**4).scale(self.alpha)
+        return [self.ell * b for b in self.L] + [f, self.ell2 * self.h]
 
     def complement_frame(self) -> List[Polynomial]:
         if self.case == 1:
@@ -213,6 +228,13 @@ class R5Shape:
         return [b for b in L if span.add(b)]
 
     def validate(self):
+        """The clauses of the R5 normal form.
+
+        The quadrics ell * L cut out the plane ell = 0 and the point V(L).
+        The scheme keeps that point only if both quintics vanish there;
+        otherwise its quotient Hilbert polynomial is 4n - 1.  In case 1 this
+        holds by construction, since ell1, ell2 and h lie in k[L]; in case 2
+        it needs h or both cofactors to vanish at the point."""
         _require(self.case in (1, 2), "case must be 1 or 2")
         _require(self.ell.homogeneous_degree() == 1, "ell must be a nonzero linear form")
         span_L = FormSpace(self.L, 1)
@@ -231,12 +253,19 @@ class R5Shape:
         _require(span_frame.contains(self.ell1), "ell1 must lie in the complement ring")
         _require(span_frame.contains(self.ell2), "ell2 must lie in the complement ring")
         _require(FormSpace([self.ell1, self.ell2], 1).dim == 2, "ell1, ell2 must be independent")
-        _require(_subring_contains(frame, self.h, 4), "h must lie in the complement ring")
+        _require(_subring_contains(frame, self.h), "h must lie in the complement ring")
         if self.case == 2 and self.alpha != 0:
             _require(
                 span_L.contains(self.ell2),
                 "with a nonzero torus term, ell2 must lie in the designated 2-space",
             )
+        # the torus term vanishes at V(L): ell lies in L, or alpha is 0
+        point = kernel_basis([span_L.coords(b) for b in self.L])[0]
+        _require(
+            self.h.evaluate(point) == 0
+            or self.ell1.evaluate(point) == self.ell2.evaluate(point) == 0,
+            "the quintics must vanish at the point V(L)",
+        )
 
 
 @dataclass(frozen=True)
@@ -245,6 +274,11 @@ class R6Shape:
     f: Polynomial
     h: Polynomial
     g: Polynomial
+    label: ClassVar[str] = "R6"
+    regularity: ClassVar[int] = 6
+
+    def generators(self) -> List[Polynomial]:
+        return [self.ell, self.f * self.h, self.f * self.g]
 
     def validate(self):
         _require(self.ell.homogeneous_degree() == 1, "ell must be a nonzero linear form")
@@ -285,50 +319,12 @@ def _proportional(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 # building ideals from shapes
 
-def shape_stratum(shape) -> Tuple[str, int]:
-    if isinstance(shape, CIShape):
-        return "V", 3
-    if isinstance(shape, R3PrimeShape):
-        return "R3'", 3
-    if isinstance(shape, R4Shape):
-        return "R4", 4
-    if isinstance(shape, R5Shape):
-        return "R5", 5
-    if isinstance(shape, R6Shape):
-        return "R6", 6
-    raise TypeError(f"not a stratum shape: {shape!r}")
-
-
-def shape_generators(shape) -> List[Polynomial]:
-    if isinstance(shape, CIShape):
-        return [shape.f, shape.g]
-    if isinstance(shape, R3PrimeShape):
-        return [shape.ell * shape.ell1, shape.ell * shape.ell2, shape.cubic]
-    if isinstance(shape, R4Shape):
-        return [
-            shape.ell * shape.ell1,
-            shape.ell * shape.ell2,
-            shape.ell * shape.q,
-            shape.p,
-        ]
-    if isinstance(shape, R5Shape):
-        gens = [shape.ell * b for b in shape.L]
-        f = shape.ell1 * shape.h
-        if shape.case == 2 and shape.alpha != 0:
-            f = f + (shape.ell * shape.w**4).scale(shape.alpha)
-        gens += [f, shape.ell2 * shape.h]
-        return gens
-    if isinstance(shape, R6Shape):
-        return [shape.ell, shape.f * shape.h, shape.f * shape.g]
-    raise TypeError(f"not a stratum shape: {shape!r}")
-
-
 def build_stratum_ideal(shape, check: bool = True) -> Ideal:
     """The ideal a validated shape denotes; checks the Hilbert-function and
     regularity contract of its stratum."""
     shape.validate()
-    label, reg = shape_stratum(shape)
-    ideal = Ideal(shape_generators(shape))
+    label, reg = shape.label, shape.regularity
+    ideal = Ideal(shape.generators())
     if check:
         values = tuple(hilbert_function(ideal, n) for n in range(9))
         if values != PHI[reg]:

@@ -171,18 +171,6 @@ def test_gb_syzygies_generate(catalog, rng):
             assert _syzygy_span_dimension(syzygies, degrees, D) == kernel, (I, D)
 
 
-def test_degree_truncated_basis_agrees_low_degrees(rng):
-    # a degree-truncated run still resolves every graded piece below the bound
-    from hilb4n.ideals import Ideal
-
-    gens = [random_form(rng, 2), random_form(rng, 2), random_form(rng, 3)]
-    full = Ideal(gens)
-    truncated = buchberger(gens, DEGREVLEX, max_degree=4)
-    trunc_ideal = Ideal(truncated)
-    for n in range(5):
-        assert trunc_ideal.graded_piece(n).dim == full.graded_piece(n).dim
-
-
 def test_reduce_by_linear_forms_consistency(rng):
     gens = [x + y, random_form(rng, 2), random_form(rng, 3)]
     linear, rest = reduce_by_linear_forms(gens)

@@ -1,10 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from hilb4n.hilbert import hilbert_function, quotient_hilbert_polynomial
+from hilb4n.hilbert import (
+    HilbertPolynomial,
+    hilbert_function,
+    quotient_hilbert_polynomial,
+    regularity,
+)
 from hilb4n.ideals import FormSpace, Ideal, equal
-from hilb4n.poly import LinearChange, apply_change, random_form, variables
+from hilb4n.poly import (
+    LinearChange,
+    Polynomial,
+    apply_change,
+    monomials_of_degree,
+    random_form,
+    variables,
+)
 from hilb4n.strata import (
     FOUR_N,
     PHI,
@@ -15,6 +28,8 @@ from hilb4n.strata import (
     R6Shape,
     RSFamilyShape,
     ShapeError,
+    _sample_r5,
+    _subring_contains,
     build_stratum_ideal,
     classify,
     coprime_quadrics,
@@ -36,6 +51,19 @@ def test_gcd_examples(rng):
     f, g = random_form(rng, 2), random_form(rng, 2)
     d = gcd_forms(f, g)
     assert d.homogeneous_degree() in (0, 1, 2)
+    # the quintics of _extract_case1/2 share a quartic h
+    h = random_form(rng, 4)
+    ell1, ell2, q = x - 2 * z + t, 3 * y + z, random_form(rng, 2)
+    assert gcd_forms(ell1 * h, ell2 * h) == h.monic()
+    # unequal degrees, in both orders, and constants
+    assert gcd_forms(ell1 * h, q * h) == h.monic()
+    assert gcd_forms(q * h, ell1) == Polynomial.constant(1)
+    assert gcd_forms(x * y * z, (x * z).scale(5)) == x * z
+    assert gcd_forms(ell2 * q, ell2**3 * x) == ell2.monic()
+    assert gcd_forms(Polynomial.constant(3), x) == gcd_forms(x, Polynomial.constant(3))
+    # proportional forms
+    assert gcd_forms(h, h.scale(Fraction(-3, 2))) == h.monic()
+    assert gcd_forms(ell1, ell1.scale(7)) == ell1.monic()
 
 
 def test_gcd_of_generic_quadrics_is_one(rng):
@@ -44,6 +72,64 @@ def test_gcd_of_generic_quadrics_is_one(rng):
         f, g = random_form(rng, 2), random_form(rng, 2)
         if gcd_forms(f, g).homogeneous_degree() == 0:
             assert hilbert_function(Ideal([f, g]), 3) == 8
+
+
+def _product_span_contains(frame, f):
+    """The former route: f against the span of the products of the frame
+    of f's degree."""
+    degree = f.homogeneous_degree()
+    products = []
+    for e in monomials_of_degree(degree, len(frame)):
+        p = Polynomial.constant(1, f.nvars)
+        for form, k in zip(frame, e):
+            p = p * form**k
+        products.append(p)
+    return FormSpace(products, degree, f.nvars).contains(f)
+
+
+def test_subring_contains_matches_product_span():
+    # R5 complement frames of 3 forms and their planes of 2 forms, each with
+    # a form outside it; draws of both cases, planar ones and a torus term
+    answers = []
+    for seed in range(7000, 7012):
+        shape = _sample_r5(random.Random(seed), 5)
+        frame = shape.complement_frame()
+        for forms, outside in ((frame, shape.ell), (frame[:2], frame[2])):
+            for f in (shape.h, shape.h + outside**4, shape.ell1 * shape.ell2,
+                      shape.ell2 * outside):
+                answer = _subring_contains(forms, f)
+                assert answer == _product_span_contains(forms, f), (seed, len(forms), f)
+                answers.append(answer)
+    assert True in answers and False in answers
+    assert _subring_contains([x + y, z], (x + y) ** 2 * z)
+    assert not _subring_contains([x + y, z], x**2 * z)
+    # a dependent frame generates the subring of its span
+    assert _subring_contains([x + y, (x + y).scale(2), z], (x + y) * z)
+
+
+def test_r5_validate_agrees_with_the_stratum_contract():
+    # raw draws of both cases, with and without a torus term: validate
+    # accepts exactly the shapes whose ideal has the Hilbert function and the
+    # regularity of R5; a draw whose quintics miss the point V(L) loses it
+    kinds, point_rejections = set(), 0
+    for seed in range(7000, 7020):
+        shape = _sample_r5(random.Random(seed), 5)
+        kinds.add((shape.case, shape.alpha != 0))
+        I = Ideal(shape.generators())
+        contract = (tuple(hilbert_function(I, n) for n in range(9)) == PHI[5]
+                    and regularity(I) == 5)
+        try:
+            shape.validate()
+        except ShapeError as e:
+            assert not contract, seed
+            if "V(L)" in str(e):
+                point_rejections += 1
+                assert quotient_hilbert_polynomial(I) == HilbertPolynomial([-1, 4])
+        else:
+            assert contract, seed
+            assert equal(build_stratum_ideal(shape), I)
+    assert kinds == {(1, False), (2, False), (2, True)}
+    assert point_rejections
 
 
 def test_coprime_quadrics_agrees_with_gcd(rng):

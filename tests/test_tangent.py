@@ -71,7 +71,7 @@ def test_r5_planar_draw_has_the_larger_tangent_space():
         plane = shape.complement_frame()[:2]
         assert planar == (FormSpace(plane, 1).contains(shape.ell1)
                           and FormSpace(plane, 1).contains(shape.ell2)
-                          and _subring_contains(plane, shape.h, 4))
+                          and _subring_contains(plane, shape.h))
         assert tangent_dimension(I).dimension == dimension
 
 
