@@ -9,15 +9,11 @@ polynomial 4n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .hilbert import (
-    HilbertPolynomial,
-    gotzmann_number,
-    hilbert_function,
-    quotient_hilbert_polynomial,
-)
-from .ideals import Ideal, monomial_ideal, saturate_irrelevant
+from .hilbert import HilbertPolynomial, _quotient_hp_from_series, gotzmann_number, hilbert_function
+from .ideals import Ideal, graded_monomial_basis, monomial_ideal, saturate_irrelevant
 from .orders import DEGREVLEX, Exponent
 from .poly import NVARS, Polynomial, count_monomials, monomial_divides, monomials_of_degree
 
@@ -75,102 +71,91 @@ def borel_closure(monomials: Sequence, nvars: int = NVARS) -> Ideal:
 # ---------------------------------------------------------------------------
 # enumeration of saturated strongly stable ideals
 
-def _borel_upsets(
-    degree: int,
-    nvars: int,
-    forced: FrozenSet[Exponent],
-    max_excluded: int,
-    exact: bool = False,
-) -> Iterable[FrozenSet[Exponent]]:
-    """All Borel-closed subsets of the degree-d monomials containing ``forced``
-    whose complement has at most (exactly, when ``exact``) ``max_excluded``
-    elements.
+@lru_cache(maxsize=None)
+def _borel_order(degree: int, nvars: int):
+    """The degree-d monomials, degrevlex-descending (a linear extension of the
+    Borel order), with, for each, the indices of its one-step Borel moves and
+    the indices in degree d + 1 of its products with the variables."""
+    monos = graded_monomial_basis(degree, nvars)
+    index = {m: i for i, m in enumerate(monos)}
+    above = {m: i for i, m in enumerate(graded_monomial_basis(degree + 1, nvars))}
+    ups = tuple(tuple(index[u] for u in _swaps_up(m)) for m in monos)
+    products = tuple(tuple(above[m[:v] + (m[v] + 1,) + m[v + 1:]] for v in range(nvars))
+                     for m in monos)
+    return tuple(monos), ups, products
 
-    Monomials are processed in descending degrevlex (a linear extension of the
-    Borel order), so a monomial may be included only when everything above it
-    already is.
-    """
-    monos = sorted(monomials_of_degree(degree, nvars), key=DEGREVLEX.key, reverse=True)
-    results: List[FrozenSet[Exponent]] = []
 
-    def descend(idx: int, chosen: Set[Exponent], excluded: int):
-        if idx == len(monos):
-            if not exact or excluded == max_excluded:
-                results.append(frozenset(chosen))
+def _borel_upsets(degree: int, nvars: int, forced: Set[int], max_excluded: int, exact: bool):
+    """The Borel-closed sets of degree-d monomials (as ``_borel_order``
+    indices) containing ``forced`` whose complement has at most (exactly,
+    when ``exact``) ``max_excluded`` elements.
+
+    A monomial may be included only when all its Borel moves, which come
+    before it in the order, already are."""
+    _, ups, _ = _borel_order(degree, nvars)
+    size = len(ups)
+    chosen = [False] * size
+    results: List[List[int]] = []
+
+    def descend(idx: int, excluded: int):
+        if idx == size:
+            results.append([i for i in range(size) if chosen[i]])
             return
-        m = monos[idx]
-        if all(u in chosen for u in _swaps_up(m)):
-            chosen.add(m)
-            descend(idx + 1, chosen, excluded)
-            chosen.discard(m)
-        if m not in forced and excluded < max_excluded:
-            descend(idx + 1, chosen, excluded + 1)
+        if exact and size - idx < max_excluded - excluded:
+            return
+        if all(map(chosen.__getitem__, ups[idx])):
+            chosen[idx] = True
+            descend(idx + 1, excluded)
+            chosen[idx] = False
+        if idx not in forced and excluded < max_excluded:
+            descend(idx + 1, excluded + 1)
 
-    descend(0, set(), 0)
+    descend(0, 0)
     return results
 
 
 def enumerate_borel_ideals(p: HilbertPolynomial, nvars: int = NVARS) -> List[Ideal]:
     """All saturated strongly stable ideals of k[x,y,z,t] whose quotient
-    Hilbert polynomial is p, in canonical sorted form.
+    Hilbert polynomial is p, sorted by their minimal generators.
 
     Saturated Borel-fixed ideals have no minimal generator divisible by the
-    last variable, so the search runs over strongly stable ideals in one
-    variable fewer, with generator degrees bounded by the Gotzmann number.
+    last variable, so the search runs over strongly stable ideals J in one
+    variable fewer, degree by degree up to the Gotzmann number rho: each
+    piece J_d is a Borel-closed set containing the products of J_(d-1), and
+    the rest of it are the minimal generators of degree d.  A saturated ideal
+    with quotient Hilbert polynomial p is rho-regular (Gotzmann, Math. Z. 158,
+    1978), so its quotient Hilbert function equals p at rho + 1 too.  That
+    count only filters: each candidate that passes it is certified by the
+    Hilbert polynomial of its Hilbert series.
     """
     rho = gotzmann_number(p)
-    target = p(rho)
+    target = int(p(rho))
     if target < 0:
         raise ValueError("not a quotient Hilbert polynomial")
     reduced = nvars - 1
-    found: Dict[Tuple[Exponent, ...], Ideal] = {}
+    step = int(p(rho + 1)) - target  # the quotient's new monomials in degree rho + 1
+    found: List[List[Exponent]] = []
 
-    def extend(degree: int, pieces: List[FrozenSet[Exponent]], partial_sum: int):
+    def extend(degree: int, forced: Set[int], gens: List[Exponent], partial_sum: int):
         if partial_sum > target:
             return
         if degree > rho:
-            if partial_sum != target:
+            if count_monomials(degree, reduced) - len(forced) != step or not gens:
                 return
-            candidate = _assemble(pieces, reduced, nvars)
-            if candidate is None:
-                return
-            key = tuple(candidate.monomial_generators())
-            if key in found:
-                return
-            if quotient_hilbert_polynomial(candidate) == p:
-                found[key] = candidate
+            gens = sorted(gens, key=DEGREVLEX.key, reverse=True)
+            if _quotient_hp_from_series(gens, nvars) == p:
+                found.append(gens)
             return
-        forced: Set[Exponent] = set()
-        prev = pieces[-1] if pieces else frozenset()
-        for m in prev:
-            for v in range(reduced):
-                e = list(m)
-                e[v] += 1
-                forced.add(tuple(e))
+        monos, _, products = _borel_order(degree, reduced)
         budget = target - partial_sum
         # in the last degree the partial sums must land exactly on p(rho)
-        pieces_iter = _borel_upsets(
-            degree, reduced, frozenset(forced), budget, exact=(degree == rho)
-        )
-        for piece in pieces_iter:
-            h = count_monomials(degree, reduced) - len(piece)
-            extend(degree + 1, pieces + [piece], partial_sum + h)
+        for piece in _borel_upsets(degree, reduced, forced, budget, degree == rho):
+            new = [monos[i] + (0,) for i in piece if i not in forced]
+            above = {j for i in piece for j in products[i]}
+            extend(degree + 1, above, gens + new, partial_sum + len(monos) - len(piece))
 
-    extend(1, [], 1)  # degree 0: the quotient has dimension 1
-    out = sorted(found.values(), key=lambda I: tuple(I.monomial_generators()))
-    return out
-
-
-def _assemble(
-    pieces: List[FrozenSet[Exponent]], reduced: int, nvars: int
-) -> Optional[Ideal]:
-    exps: List[Exponent] = []
-    for piece in pieces:
-        for m in piece:
-            exps.append(tuple(m) + (0,) * (nvars - reduced))
-    if not exps:
-        return None
-    return monomial_ideal(exps, nvars)
+    extend(1, set(), [], 1)  # degree 0: the quotient has dimension 1
+    return [Ideal([Polynomial.monomial(e) for e in gens], nvars) for gens in sorted(found)]
 
 
 def lex_ideal(p: HilbertPolynomial, nvars: int = NVARS) -> Ideal:

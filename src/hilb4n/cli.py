@@ -42,6 +42,7 @@ from .verify import DEFAULT_SEED, verify_paper
 USAGE_ERROR = 2
 MATH_ERROR = 1
 MAX_UPTO = 1000  # the largest degree hf prints
+MAX_GOTZMANN = 8  # the largest Gotzmann number --hp takes; borel-enum grows steeply past it
 
 
 class CliError(Exception):
@@ -171,12 +172,17 @@ def _cmd_tangent(args) -> int:
 
 def _parse_hp_arg(text: str):
     """A quotient Hilbert polynomial from --hp; one with no Gotzmann
-    decomposition is bad input, not a failed check."""
+    decomposition, or with a Gotzmann number past MAX_GOTZMANN, is bad input,
+    not a failed check."""
     try:
         p = parse_hilbert_polynomial(text)
-        gotzmann_number(p)
+        rho = gotzmann_number(p)
     except ValueError as exc:  # ParseError included
         raise CliError(str(exc), USAGE_ERROR)
+    if rho > MAX_GOTZMANN:
+        raise CliError(
+            f"--hp must have Gotzmann number at most {MAX_GOTZMANN}, got {rho}", USAGE_ERROR
+        )
     return p
 
 

@@ -13,7 +13,7 @@ from itertools import accumulate
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ideals import Ideal, groebner_basis, initial_ideal, minimalize_monomials
+from .ideals import Ideal, groebner_basis, minimalize_monomials
 from .ideals import saturating_form, to_last_variable
 from .orders import Exponent
 from .poly import Polynomial, count_monomials, monomials_of_degree
@@ -38,13 +38,10 @@ class HilbertPolynomial:
         return HilbertPolynomial([])
 
     @staticmethod
-    def constant(c) -> "HilbertPolynomial":
-        return HilbertPolynomial([c])
-
-    @staticmethod
+    @lru_cache(maxsize=1024)  # shared: a HilbertPolynomial is never changed
     def binomial(shift: int, k: int) -> "HilbertPolynomial":
         """The polynomial n -> C(n + shift, k)."""
-        out = HilbertPolynomial.constant(Fraction(1, 1))
+        out = HilbertPolynomial([1])
         for j in range(k):
             out = out * HilbertPolynomial([shift - j, 1])
         return out * Fraction(1, factorial(k))
@@ -180,12 +177,11 @@ class HilbertFunction:
         return f"HilbertFunction({vals})"
 
 
-def _initial_generators(I: Ideal) -> List[Exponent]:
-    if I.is_zero():
-        return []
-    if I.is_monomial():
-        return I.monomial_generators()
-    return initial_ideal(I).monomial_generators()
+def _initial_generators(I: Ideal) -> Tuple[Exponent, ...]:
+    """The minimal generators of the degrevlex initial ideal, cached."""
+    if I._lead is None:
+        I._lead = tuple(minimalize_monomials(g.leading_monomial() for g in I.groebner_basis()))
+    return I._lead
 
 
 def standard_monomial_count(gens: Sequence[Exponent], n: int, nvars: int) -> int:
@@ -258,10 +254,11 @@ def _series_numerator_cached(gens: Tuple[Exponent, ...], nvars: int) -> Tuple[Tu
 def _quotient_hp_from_series(gens: Sequence[Exponent], nvars: int) -> HilbertPolynomial:
     """Quotient Hilbert polynomial of a monomial ideal:
     sum_k c_k C(n - k + nvars - 1, nvars - 1) over the series numerator."""
-    hp = HilbertPolynomial.zero()
+    coeffs = [0] * nvars
     for d, c in _series_numerator(tuple(gens), nvars).items():
-        hp = hp + HilbertPolynomial.binomial(nvars - 1 - d, nvars - 1) * c
-    return hp
+        for i, b in enumerate(HilbertPolynomial.binomial(nvars - 1 - d, nvars - 1).coeffs):
+            coeffs[i] += c * b
+    return HilbertPolynomial(coeffs)
 
 
 def ambient_hilbert_polynomial(nvars: int) -> HilbertPolynomial:
@@ -324,19 +321,20 @@ def regularity(I: Ideal) -> int:
     if I.is_zero():
         raise ValueError("regularity of the zero ideal is undefined")
     level, basis, nvars, top = I, I.groebner_basis(), I.nvars, -1
+    lead = _initial_generators(I)
     while nvars:
-        lead = minimalize_monomials(g.leading_monomial() for g in basis)
         if not sum(lead[-1]):
             break  # the unit ideal
         end = _torsion_top(lead, nvars)
         if end is None:
             change = to_last_variable(saturating_form(level)[0])
             basis = groebner_basis([change.apply(g) for g in level.gens])
-            continue
-        top = max(top, end)
-        basis = [_cut_last_variable(g) for g in basis]
-        nvars -= 1
-        level = Ideal(basis, nvars)
+        else:
+            top = max(top, end)
+            basis = [_cut_last_variable(g) for g in basis]
+            nvars -= 1
+            level = Ideal(basis, nvars)
+        lead = minimalize_monomials(g.leading_monomial() for g in basis)
     return top + 1
 
 

@@ -36,7 +36,7 @@ from . import groebner as _gb
 class Ideal:
     """Homogeneous ideal given by generators, with cached reduced bases."""
 
-    __slots__ = ("gens", "nvars", "_gb_cache", "_gin", "_hp")
+    __slots__ = ("gens", "nvars", "_gb_cache", "_gin", "_hp", "_lead")
 
     def __init__(self, gens: Iterable[Polynomial], nvars: Optional[int] = None):
         gens = [g for g in gens if g and not g.is_zero()]
@@ -54,6 +54,7 @@ class Ideal:
         self._gb_cache: Dict[MonomialOrder, Tuple[Polynomial, ...]] = {}
         self._gin = None
         self._hp = None
+        self._lead = None  # minimal degrevlex leading exponents, see hilbert
 
     # -- basics ---------------------------------------------------------------
 
@@ -420,10 +421,16 @@ def saturating_form(I: Ideal) -> Tuple[Polynomial, Ideal]:
     nvars - 1 moment forms (Vandermonde), and I^sat has finitely many
     associated primes.
     """
+    return _first_saturating(I, _search_forms(I.nvars))
+
+
+def _first_saturating(I: Ideal, forms: Iterable[Polynomial]) -> Tuple[Polynomial, Ideal]:
+    """The first of ``forms`` whose saturation keeps the Hilbert polynomial of
+    I, and that saturation (see ``saturating_form``)."""
     from .hilbert import hilbert_polynomial
 
     target = hilbert_polynomial(I)
-    for h in _search_forms(I.nvars):
+    for h in forms:
         sat = saturate(I, h)
         if hilbert_polynomial(sat) == target:
             return h, sat

@@ -29,14 +29,14 @@ from itertools import accumulate
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .hilbert import regularity
+from .hilbert import _initial_generators, regularity
 from .ideals import (
     Ideal,
+    _first_saturating,
+    _search_forms,
     equal,
     graded_monomial_basis,
-    initial_ideal,
     minimal_generators,
-    saturate_irrelevant,
     saturating_form,
 )
 from .linalg import kernel_basis
@@ -66,7 +66,10 @@ def _section_space(I: Ideal, ell: Polynomial, k: int,
     ``standard`` lists the degree-R monomials outside in(I)."""
     if k == 0:
         return [Polynomial.monomial(m) for m in standard]
-    saturation = saturate_irrelevant(Ideal(list(I.gens) + [ell**k], I.nvars))
+    # l^k lies in I + (l^k), so saturating by l gives the unit ideal, which
+    # certifies only when every other form gives it too: skip l
+    forms = (h for h in _search_forms(I.nvars) if h != ell)
+    saturation = _first_saturating(Ideal(list(I.gens) + [ell**k], I.nvars), forms)[1]
     bumped = _gb._Prepared(saturation.groebner_basis())
     basis = []
     for u in standard:
@@ -90,7 +93,7 @@ def tangent_dimension(I: Ideal) -> TangentReport:
     gb = _gb._Prepared(I.groebner_basis())  # one integer form for every normal form below
     degrees = tuple(g.homogeneous_degree() for g in gb)
     syzygies = _gb.gb_syzygies(gb)
-    in_gens = initial_ideal(I).monomial_generators()
+    in_gens = _initial_generators(I)
     degree_r = max(regularity(I), max(degrees))
     standard_r = _standard_monomials(in_gens, degree_r, I.nvars)
 

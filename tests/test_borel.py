@@ -7,12 +7,38 @@ from hilb4n.borel import (
     lex_ideal,
 )
 from hilb4n.gin import is_saturated
-from hilb4n.hilbert import HilbertPolynomial, hilbert_function, quotient_hilbert_polynomial
+from hilb4n.hilbert import (
+    HilbertPolynomial,
+    gotzmann_number,
+    hilbert_function,
+    quotient_hilbert_function,
+    quotient_hilbert_polynomial,
+)
 from hilb4n.ideals import Ideal, equal
+from hilb4n.parser import parse_hilbert_polynomial
 from hilb4n.poly import count_monomials, monomials_of_degree, variables
 from hilb4n.strata import FOUR_N
 
 x, y, z, t = variables()
+
+# how many saturated Borel-fixed ideals each quotient Hilbert polynomial has,
+# as the enumeration without the Gotzmann rho + 1 check finds them; all have
+# Gotzmann number at most 7, so the whole table enumerates in about a second
+PINNED_COUNTS = {
+    "1": 1, "2": 1, "3": 2, "n+1": 1, "n+2": 1, "2*n+1": 1, "2*n+2": 2, "2*n+3": 3,
+    "3*n": 1, "3*n+1": 3, "3*n+2": 4, "3*n+3": 8, "4*n-2": 1, "4*n-1": 2, "4*n": 4,
+    "4*n+1": 8, "5*n-4": 2, "5*n-3": 3,
+}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    """Each pinned polynomial and its enumeration."""
+    out = {}
+    for text in PINNED_COUNTS:
+        p = parse_hilbert_polynomial(text)
+        out[text] = (p, enumerate_borel_ideals(p))
+    return out
 
 
 def test_is_strongly_stable_examples(catalog):
@@ -62,6 +88,28 @@ def test_enumeration_outputs_verified(four_n_borel):
         assert is_strongly_stable(I)
         assert is_saturated(I)
         assert quotient_hilbert_polynomial(I) == FOUR_N
+
+
+def test_enumeration_counts_are_pinned(pinned):
+    assert {text: len(found) for text, (_, found) in pinned.items()} == PINNED_COUNTS
+
+
+def test_pinned_enumerations_verified(pinned):
+    for p, found in pinned.values():
+        keys = [tuple(I.monomial_generators()) for I in found]
+        assert keys == sorted(set(keys))  # distinct, sorted by their generators
+        for I in found:
+            assert is_strongly_stable(I)
+            assert is_saturated(I)
+            assert quotient_hilbert_polynomial(I) == p
+
+
+def test_pinned_enumerations_meet_p_at_rho_and_rho_plus_one(pinned):
+    # Gotzmann: a saturated ideal with Hilbert polynomial p is rho-regular
+    for p, found in pinned.values():
+        rho = gotzmann_number(p)
+        for I in found:
+            assert [quotient_hilbert_function(I, n) for n in (rho, rho + 1)] == [p(rho), p(rho + 1)]
 
 
 def test_enumeration_small_polynomials():

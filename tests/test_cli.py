@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hilb4n.cli import MAX_UPTO, main
+from hilb4n.cli import MAX_GOTZMANN, MAX_UPTO, main
 from hilb4n.parser import MAX_EXPONENT
 
 
@@ -178,6 +178,18 @@ def test_hp_without_gotzmann_decomposition_is_usage_error(command, hp, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Gotzmann decomposition" in captured.err
+
+
+@pytest.mark.parametrize("command", ["borel-enum", "lex-point"])
+def test_hp_past_the_gotzmann_cap_is_usage_error(command, capsys):
+    # the constant c has Gotzmann number c; 100*n has 4950
+    assert main([command, "--hp", str(MAX_GOTZMANN + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"Gotzmann number at most {MAX_GOTZMANN}, got {MAX_GOTZMANN + 1}" in captured.err
+    assert main([command, "--hp", "100*n"]) == 2
+    assert "got 4950" in capsys.readouterr().err
+    assert main([command, "--hp", str(MAX_GOTZMANN)]) == 0
 
 
 def test_huge_upto_is_usage_error(b3_file, capsys):
