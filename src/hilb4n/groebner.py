@@ -4,6 +4,12 @@ Reductions run fraction-free on primitive integer coefficient dicts (one
 content gcd per full normal form instead of one per step); public results are
 exact monic polynomials over Q.  Pair handling uses the degree-graded normal
 strategy with both classical pair-elimination criteria.
+
+Inside the engine a monomial is its packed key under the working order (see
+orders.py), so a product is a sum of keys and divisibility one mask test.
+Each term a product makes (in ``_normal_form_int`` and ``_mul_int``) is tested
+against the guard bits once: an exponent past EXPONENT_LIMIT raises
+OverflowError instead of giving a wrong order.
 """
 
 from __future__ import annotations
@@ -14,18 +20,10 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import rref
-from .orders import DEGREVLEX, Exponent, MonomialOrder
-from .poly import (
-    Polynomial,
-    linear_form,
-    monomial_div,
-    monomial_divides,
-    monomial_gcd,
-    monomial_lcm,
-    monomial_mul,
-)
+from .orders import DEGREVLEX, EXPONENT_LIMIT, MonomialOrder, Packing
+from .poly import Polynomial, linear_form
 
-IntPoly = Dict[Exponent, int]
+IntPoly = Dict[int, int]  # packed monomial key -> integer coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -40,29 +38,33 @@ def _content(p: IntPoly) -> int:
     return g
 
 
-def _to_int_poly(p: Polynomial) -> Tuple[IntPoly, Fraction]:
-    """Primitive integer form: returns (q, s) with p = s * q and content(q)=1."""
+def _to_int_poly(p: Polynomial, order: MonomialOrder) -> Tuple[IntPoly, Fraction]:
+    """Primitive packed integer form: returns (q, s) with p = s * q and content(q)=1."""
     if not p.terms:
         return {}, Fraction(1)
+    key = order.packing(p.nvars).key
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = {e: int(c * den) for e, c in p.terms.items()}
+    ints = {key(e): int(c * den) for e, c in p.terms.items()}
     g = _content(ints)
     return {e: v // g for e, v in ints.items()}, Fraction(g, den)
 
 
-def _mul_int(p: IntPoly, q: IntPoly) -> IntPoly:
+def _mul_int(p: IntPoly, q: IntPoly, packing: Packing) -> IntPoly:
+    guard = packing.guard
     out: IntPoly = {}
     for ep, cp in p.items():
         for eq, cq in q.items():
-            k = monomial_mul(ep, eq)
+            k = ep + eq
+            if k & guard:
+                raise OverflowError(f"a product has an exponent past {EXPONENT_LIMIT}")
             out[k] = out.get(k, 0) + cp * cq
     return {e: c for e, c in out.items() if c}
 
 
-def _as_poly(p: IntPoly, nvars: int, factor: Fraction = Fraction(1)) -> Polynomial:
-    return Polynomial({e: factor * c for e, c in p.items()}, nvars)
+def _as_poly(p: IntPoly, packing: Packing, factor: Fraction = Fraction(1)) -> Polynomial:
+    return Polynomial({packing.exponents(e): factor * c for e, c in p.items()}, packing.nvars)
 
 
 class _Basis:
@@ -70,45 +72,42 @@ class _Basis:
 
     __slots__ = ("poly", "lm", "lc", "tail")
 
-    def __init__(self, poly: IntPoly, order: MonomialOrder):
+    def __init__(self, poly: IntPoly):
         self.poly = poly
-        self.lm = max(poly, key=order.key)
+        self.lm = max(poly)
         self.lc = poly[self.lm]
         self.tail = [(e, c) for e, c in poly.items() if e != self.lm]
-
-
-def _descending(key):
-    """The sort key (ints in nested tuples) negated: a min-heap pops the greatest."""
-    return -key if type(key) is int else tuple(map(_descending, key))
 
 
 def _normal_form_int(
     p: IntPoly,
     basis: Sequence[_Basis],
-    order: MonomialOrder,
+    packing: Packing,
     trace: Optional[List[IntPoly]] = None,
 ) -> Tuple[IntPoly, int]:
-    """Fraction-free full normal form.
+    """Fraction-free full normal form on keys packed by ``packing``.
 
     Returns (r, m) with m * p = r + sum(q_i * basis_i) and no monomial of r
     divisible by a basis leading monomial.  When ``trace`` is given it must
     hold one dict per basis element and receives the quotients q_i.  Terms
-    are taken greatest first from a heap keyed once per monomial as it enters
-    ``work``; entries of monomials that have since cancelled are skipped.
+    are taken greatest first from a heap of negated keys, one entry per
+    monomial as it enters ``work``; entries of monomials that have since
+    cancelled are skipped.
     """
-    key = order.key
+    guard = packing.guard
     work = dict(p)
-    heap = [(_descending(key(e)), e) for e in work]
+    heap = [-e for e in work]
     heapify(heap)
     remainder: IntPoly = {}
     mult = 1
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         c = work.pop(e, 0)
         if not c:
             continue
+        probe = e | guard
         for gi, g in enumerate(basis):
-            if monomial_divides(g.lm, e):
+            if (probe - g.lm) & guard == guard:
                 break
         else:
             remainder[e] = c
@@ -128,11 +127,13 @@ def _normal_form_int(
                 for q in trace:
                     for k in q:
                         q[k] *= a
-        shift = monomial_div(e, g.lm)
+        shift = e - g.lm
         for ge, gc in g.tail:
-            k = monomial_mul(ge, shift)
+            k = ge + shift
+            if k & guard:
+                raise OverflowError(f"a product has an exponent past {EXPONENT_LIMIT}")
             if k not in work:
-                heappush(heap, (_descending(key(k)), k))
+                heappush(heap, -k)
             nv = work.get(k, 0) - b * gc
             if nv:
                 work[k] = nv
@@ -150,7 +151,7 @@ class _Prepared(tuple):
 
     def __new__(cls, basis_polys: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX):
         self = super().__new__(cls, basis_polys)
-        self.order, self.basis = order, [_Basis(_to_int_poly(g)[0], order) for g in basis_polys if g]
+        self.order, self.basis = order, [_Basis(_to_int_poly(g, order)[0]) for g in basis_polys if g]
         return self
 
 
@@ -158,36 +159,30 @@ def normal_form_poly(
     f: Polynomial, basis_polys: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
 ) -> Polynomial:
     """Exact normal form of f modulo the given basis (need not be a GB)."""
-    fi, scale = _to_int_poly(f)
+    fi, scale = _to_int_poly(f, order)
     if not fi:
         return f
     if not (isinstance(basis_polys, _Prepared) and basis_polys.order == order):
         basis_polys = _Prepared(basis_polys, order)
-    r, mult = _normal_form_int(fi, basis_polys.basis, order)
-    return _as_poly(r, f.nvars, scale / mult)
+    packing = order.packing(f.nvars)
+    r, mult = _normal_form_int(fi, basis_polys.basis, packing)
+    return _as_poly(r, packing, scale / mult)
 
 
-def _spair_multipliers(f: _Basis, g: _Basis) -> Tuple[Exponent, int, Exponent, int]:
+def _spair_multipliers(f: _Basis, g: _Basis, packing: Packing) -> Tuple[int, int, int, int]:
     """(sf, a, sg, b) with S(f, g) = a x^sf f - b x^sg g, the leading terms
-    cancelling."""
-    lcm = monomial_lcm(f.lm, g.lm)
+    cancelling; sf and sg are packed keys."""
+    lcm = packing.lcm(f.lm, g.lm)
     gg = gcd(f.lc, g.lc)
-    return monomial_div(lcm, f.lm), g.lc // gg, monomial_div(lcm, g.lm), f.lc // gg
+    return lcm - f.lm, g.lc // gg, lcm - g.lm, f.lc // gg
 
 
-def _spair(f: _Basis, g: _Basis) -> IntPoly:
-    sf, a, sg, b = _spair_multipliers(f, g)
-    out: IntPoly = {}
-    for e, c in f.poly.items():
-        out[monomial_mul(e, sf)] = a * c
-    for e, c in g.poly.items():
-        k = monomial_mul(e, sg)
-        nv = out.get(k, 0) - b * c
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
+def _spair(f: _Basis, g: _Basis, packing: Packing) -> IntPoly:
+    sf, a, sg, b = _spair_multipliers(f, g, packing)
+    out = _mul_int(f.poly, {sf: a}, packing)
+    for k, c in _mul_int(g.poly, {sg: -b}, packing).items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> List[Polynomial]:
@@ -196,15 +191,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> 
     Pairs are taken by the normal strategy (least lcm degree, then least lcm)
     and skipped by both classical criteria.
     """
-    nvars = gens[0].nvars if gens else 0
-    basis = [_Basis(gi, order) for gi in (_to_int_poly(g)[0] for g in gens) if gi]
-
-    def lcm_of(i: int, j: int) -> Exponent:
-        return monomial_lcm(basis[i].lm, basis[j].lm)
+    packing = order.packing(gens[0].nvars if gens else 0)
+    basis = [_Basis(gi) for gi in (_to_int_poly(g, order)[0] for g in gens) if gi]
 
     def strategy_key(i: int, j: int):
-        lcm = lcm_of(i, j)
-        return sum(lcm), order.key(lcm)
+        lcm = packing.lcm(basis[i].lm, basis[j].lm)
+        return sum(packing.exponents(lcm)), lcm
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     # each pair's key is computed once; ties still fall to the set's order
@@ -213,49 +205,49 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> 
     while pairs:
         i, j = min(pairs, key=keys.__getitem__)
         pairs.discard((i, j))
-        lcm = lcm_of(i, j)
-        # coprime leading monomials: S-pair reduces to zero
-        if not any(monomial_gcd(basis[i].lm, basis[j].lm)):
+        lcm = keys[i, j][1]
+        # coprime leading monomials (the lcm is the product): S-pair reduces to zero
+        if lcm == basis[i].lm + basis[j].lm:
             continue
         # chain criterion
         if any(
             k not in (i, j)
-            and monomial_divides(basis[k].lm, lcm)
+            and packing.divides(basis[k].lm, lcm)
             and (min(i, k), max(i, k)) not in pairs
             and (min(j, k), max(j, k)) not in pairs
             for k in range(len(basis))
         ):
             continue
-        r, _ = _normal_form_int(_spair(basis[i], basis[j]), basis, order)
+        r, _ = _normal_form_int(_spair(basis[i], basis[j], packing), basis, packing)
         if not r:
             continue
         content = _content(r)
-        basis.append(_Basis({e: c // content for e, c in r.items()}, order))
+        basis.append(_Basis({e: c // content for e, c in r.items()}))
         new = len(basis) - 1
         for k in range(new):
             pairs.add((k, new))
             keys[k, new] = strategy_key(k, new)
-    return _reduce_basis(basis, order, nvars)
+    return _reduce_basis(basis, packing)
 
 
-def _reduce_basis(basis: List[_Basis], order: MonomialOrder, nvars: int) -> List[Polynomial]:
+def _reduce_basis(basis: List[_Basis], packing: Packing) -> List[Polynomial]:
     # minimal generators: drop elements whose lm is divisible by another lm
     lms = [b.lm for b in basis]
     keep = [
         i
         for i, lm in enumerate(lms)
         if not any(
-            k != i and monomial_divides(lms[k], lm) and (lms[k] != lm or k < i)
+            k != i and packing.divides(lms[k], lm) and (lms[k] != lm or k < i)
             for k in range(len(basis))
         )
     ]
-    # tail-reduce each against the others, make monic
-    out = []
+    # tail-reduce each against the others, make monic; the leading monomials
+    # stay distinct, so they sort the result
+    out = {}
     for i in keep:
-        r, _ = _normal_form_int(basis[i].poly, [basis[k] for k in keep if k != i], order)
-        out.append(_as_poly(r, nvars, Fraction(1, r[max(r, key=order.key)])))
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return out
+        r, _ = _normal_form_int(basis[i].poly, [basis[k] for k in keep if k != i], packing)
+        out[lms[i]] = _as_poly(r, packing, Fraction(1, r[lms[i]]))
+    return [out[lm] for lm in sorted(out, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +263,14 @@ def gb_syzygies(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> L
     """
     if not (isinstance(gb, _Prepared) and gb.order == order):
         gb = _Prepared(gb, order)
-    nvars = gb[0].nvars if gb else 0
+    packing = order.packing(gb[0].nvars if gb else 0)
     basis = gb.basis
     # basis[k] is gb[k] scaled by scales[k]
-    scales = [b.lc / g.terms[b.lm] for g, b in zip(gb, basis)]
+    scales = [b.lc / g.terms[packing.exponents(b.lm)] for g, b in zip(gb, basis)]
     syz: List[List[Polynomial]] = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            row = _spair_syzygy(basis, i, j, order, nvars)
+            row = _spair_syzygy(basis, i, j, packing)
             # rescale to act on the exact basis elements
             row = [p.scale(scales[k]) if p else p for k, p in enumerate(row)]
             if any(row):
@@ -286,20 +278,18 @@ def gb_syzygies(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> L
     return syz
 
 
-def _spair_syzygy(
-    basis: Sequence[_Basis], i: int, j: int, order: MonomialOrder, nvars: int
-) -> List[Polynomial]:
+def _spair_syzygy(basis: Sequence[_Basis], i: int, j: int, packing: Packing) -> List[Polynomial]:
     """The relation sum(row[k] * basis[k]) = 0 traced from the reduction of
     S(basis[i], basis[j]) to zero."""
     trace: List[IntPoly] = [dict() for _ in basis]
-    r, mult = _normal_form_int(_spair(basis[i], basis[j]), basis, order, trace)
+    r, mult = _normal_form_int(_spair(basis[i], basis[j], packing), basis, packing, trace)
     if r:
         raise ArithmeticError("input was not a Groebner basis: S-pair did not vanish")
     # mult * S = sum(q_k * basis_k), with S = a x^sf basis_i - b x^sg basis_j
-    sf, a, sg, b = _spair_multipliers(basis[i], basis[j])
-    row = [_as_poly(q, nvars, Fraction(-1)) for q in trace]
-    row[i] = row[i] + Polynomial({sf: Fraction(a * mult)}, nvars)
-    row[j] = row[j] + Polynomial({sg: Fraction(-b * mult)}, nvars)
+    sf, a, sg, b = _spair_multipliers(basis[i], basis[j], packing)
+    row = [_as_poly(q, packing, Fraction(-1)) for q in trace]
+    row[i] = row[i] + _as_poly({sf: a * mult}, packing)
+    row[j] = row[j] + _as_poly({sg: -b * mult}, packing)
     return row
 
 
@@ -307,16 +297,17 @@ def division_quotients(
     f: Polynomial, basis_polys: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
 ) -> Tuple[Polynomial, List[Polynomial]]:
     """Exact division: returns (r, [q_i]) with f = r + sum(q_i * basis_i)."""
-    fi, scale = _to_int_poly(f)
+    fi, scale = _to_int_poly(f, order)
     if not fi:
         return f, [Polynomial.zero(f.nvars) for _ in basis_polys]
-    data = [_to_int_poly(g) for g in basis_polys]
-    basis = [_Basis(d[0], order) for d in data]
+    packing = order.packing(f.nvars)
+    data = [_to_int_poly(g, order) for g in basis_polys]
+    basis = [_Basis(d[0]) for d in data]
     trace: List[IntPoly] = [dict() for _ in basis]
-    r, mult = _normal_form_int(fi, basis, order, trace=trace)
+    r, mult = _normal_form_int(fi, basis, packing, trace=trace)
     factor = scale / mult
-    remainder = _as_poly(r, f.nvars, factor)
-    quots = [_as_poly(q, f.nvars, factor / data[k][1]) for k, q in enumerate(trace)]
+    remainder = _as_poly(r, packing, factor)
+    quots = [_as_poly(q, packing, factor / data[k][1]) for k, q in enumerate(trace)]
     return remainder, quots
 
 

@@ -43,10 +43,6 @@ def monomial_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_gcd(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def monomials_of_degree(n: int, nvars: int) -> Iterator[Exponent]:
     """All exponent tuples of total degree n."""
     if nvars == 1:
@@ -137,7 +133,7 @@ class Polynomial:
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Exponent:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=order.packing(self.nvars).key)
 
     def leading_coefficient(self, order: MonomialOrder = DEGREVLEX) -> Fraction:
         return self.terms[self.leading_monomial(order)]

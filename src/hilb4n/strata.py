@@ -189,7 +189,7 @@ class R4Shape:
         )
         _require(self.p.homogeneous_degree() == 4, "p must be a quartic")
         _require(
-            FormSpace([self.ell1, self.ell2, self.q], 4).contains(self.p),
+            Ideal([self.ell1, self.ell2, self.q]).contains(self.p),
             "p must lie in (ell1, ell2, q)",
         )
         _require(divide_exact(self.p, self.ell) is None, "p must not be divisible by ell")

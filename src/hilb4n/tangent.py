@@ -71,12 +71,9 @@ def _section_space(I: Ideal, ell: Polynomial, k: int,
     forms = (h for h in _search_forms(I.nvars) if h != ell)
     saturation = _first_saturating(Ideal(list(I.gens) + [ell**k], I.nvars), forms)[1]
     bumped = _gb._Prepared(saturation.groebner_basis())
-    basis = []
-    for u in standard:
-        if any(monomial_divides(g.lm, u) for g in bumped.basis):
-            mono = Polynomial.monomial(u)
-            basis.append(mono - _gb.normal_form_poly(mono, bumped))
-    return basis
+    lead = _initial_generators(saturation)
+    monos = [Polynomial.monomial(u) for u in standard if any(monomial_divides(g, u) for g in lead)]
+    return [u - _gb.normal_form_poly(u, bumped) for u in monos]
 
 
 def tangent_dimension(I: Ideal) -> TangentReport:
@@ -91,6 +88,7 @@ def tangent_dimension(I: Ideal) -> TangentReport:
     if not equal(saturation, I):
         raise ValueError("the tangent space is computed at a saturated ideal")
     gb = _gb._Prepared(I.groebner_basis())  # one integer form for every normal form below
+    packing = gb.order.packing(I.nvars)
     degrees = tuple(g.homogeneous_degree() for g in gb)
     syzygies = _gb.gb_syzygies(gb)
     in_gens = _initial_generators(I)
@@ -99,7 +97,7 @@ def tangent_dimension(I: Ideal) -> TangentReport:
 
     # image of each needed section space inside degree R, modulo I, as
     # primitive integer forms: rescaling a column keeps the kernel dimension
-    section_bases = {d: [_gb._to_int_poly(w)[0]
+    section_bases = {d: [_gb._to_int_poly(w, gb.order)[0]
                          for w in _section_space(I, ell, degree_r - d, standard_r)]
                      for d in set(degrees)}
     blocks = [section_bases[d] for d in degrees]
@@ -108,7 +106,7 @@ def tangent_dimension(I: Ideal) -> TangentReport:
     shift = degree_r - min(degrees)  # uniform multiplier exponent
     # s_i * l^shift * phi_i = s_i * l^(shift - k_i) * w_i with k_i = R - d_i
     powers = {d: ell ** (shift - (degree_r - d)) for d in set(degrees)}
-    targets: Dict[int, Dict[Exponent, int]] = {}  # row of each standard monomial, by degree
+    targets: Dict[int, Dict[int, int]] = {}  # row of each standard monomial's key, by degree
 
     rows: List[List[int]] = []
     for syz in syzygies:
@@ -118,15 +116,15 @@ def tangent_dimension(I: Ideal) -> TangentReport:
         target_degree = syz_degree + shift
         index = targets.get(target_degree)
         if index is None:
-            index = targets[target_degree] = {
-                m: i for i, m in enumerate(_standard_monomials(in_gens, target_degree, I.nvars))}
+            standard = _standard_monomials(in_gens, target_degree, I.nvars)
+            index = targets[target_degree] = {packing.key(m): i for i, m in enumerate(standard)}
         columns = []  # (column, integer image, its rational factor)
         for gi, s in enumerate(syz):
             if not s:
                 continue
-            multiplier, m_scale = _gb._to_int_poly(s * powers[degrees[gi]])
+            multiplier, m_scale = _gb._to_int_poly(s * powers[degrees[gi]], gb.order)
             for bi, w in enumerate(blocks[gi]):
-                image, mult = _gb._normal_form_int(_gb._mul_int(multiplier, w), gb.basis, gb.order)
+                image, mult = _gb._normal_form_int(_gb._mul_int(multiplier, w, packing), gb.basis, packing)
                 if image:
                     columns.append((offsets[gi] + bi, image, m_scale / mult))
         # scaling the block by the lcm of the factors' denominators keeps its kernel

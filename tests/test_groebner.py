@@ -1,3 +1,4 @@
+from collections import namedtuple
 from math import comb, gcd
 
 import pytest
@@ -188,8 +189,13 @@ def test_reduce_by_linear_forms_consistency(rng):
 ORDERS = [DEGREVLEX, LEX, WeightOrder((1, 3, 0, 2), DEGREVLEX), elimination_order(1)]
 
 
+# a basis element on exponent tuples: leading monomial, coefficient, tail
+Unpacked = namedtuple("Unpacked", "lm lc tail")
+
+
 def reference_normal_form_int(p, basis, order, trace=None, reappeared=None):
-    """The max-scan normal form: each step takes max(work, key=order.key).
+    """The max-scan normal form on exponent tuples: each step takes
+    max(work, key=order.key), and ``basis`` holds ``Unpacked`` elements.
     ``reappeared`` collects monomials that cancel and later come back."""
     key = order.key
     work = dict(p)
@@ -239,25 +245,41 @@ def reference_normal_form_int(p, basis, order, trace=None, reappeared=None):
     return remainder, mult
 
 
+def _unpacked(p, order):
+    """The packed integer form of p, and the same dict on exponent tuples."""
+    exponents = order.packing(p.nvars).exponents
+    packed = _to_int_poly(p, order)[0]
+    return packed, {exponents(e): c for e, c in packed.items()}
+
+
+def _unpacked_basis(gens, order):
+    """The packed ``_Basis`` of gens, and the same elements unpacked."""
+    exponents = order.packing(gens[0].nvars).exponents
+    basis = [_Basis(_unpacked(g, order)[0]) for g in gens]
+    return basis, [
+        Unpacked(exponents(g.lm), g.lc, [(exponents(e), c) for e, c in g.tail]) for g in basis]
+
+
 def _both_normal_forms(p, gens, order):
-    """(heap result, reference result), each as (r, mult, trace) with the
-    dicts listed in insertion order."""
-    basis = [_Basis(_to_int_poly(g)[0], order) for g in gens]
-    pi = _to_int_poly(p)[0]
-    out = []
-    for nf in (_normal_form_int, reference_normal_form_int):
-        trace = [dict() for _ in basis]
-        r, mult = nf(pi, basis, order, trace)
-        out.append((list(r.items()), mult, [list(q.items()) for q in trace]))
-    return out
+    """(packed heap result, reference result), each as (r, mult, trace) on
+    exponent tuples with the dicts listed in insertion order."""
+    exponents = order.packing(p.nvars).exponents
+    basis, unpacked = _unpacked_basis(gens, order)
+    packed, reference = _unpacked(p, order)
+    heap_trace, reference_trace = [dict() for _ in basis], [dict() for _ in basis]
+    r, mult = _normal_form_int(packed, basis, order.packing(p.nvars), heap_trace)
+    heap = ([(exponents(e), c) for e, c in r.items()], mult,
+            [[(exponents(e), c) for e, c in q.items()] for q in heap_trace])
+    r, mult = reference_normal_form_int(reference, unpacked, order, reference_trace)
+    return heap, (list(r.items()), mult, [list(q.items()) for q in reference_trace])
 
 
 def test_heap_normal_form_with_a_reappearing_monomial():
     p = x * x + x * z - y * z
     gens = [y - x, y * z - y * y]
     reappeared = set()
-    basis = [_Basis(_to_int_poly(g)[0], DEGREVLEX) for g in gens]
-    reference_normal_form_int(_to_int_poly(p)[0], basis, DEGREVLEX, None, reappeared)
+    unpacked = _unpacked_basis(gens, DEGREVLEX)[1]
+    reference_normal_form_int(_unpacked(p, DEGREVLEX)[1], unpacked, DEGREVLEX, None, reappeared)
     assert reappeared == {(0, 1, 1, 0)}  # y*z cancels, then comes back
     for order in ORDERS:
         heap, reference = _both_normal_forms(p, gens, order)
