@@ -82,7 +82,7 @@ def _borel_order(degree: int, nvars: int):
     ups = tuple(tuple(index[u] for u in _swaps_up(m)) for m in monos)
     products = tuple(tuple(above[m[:v] + (m[v] + 1,) + m[v + 1:]] for v in range(nvars))
                      for m in monos)
-    return tuple(monos), ups, products
+    return monos, ups, products
 
 
 def _borel_upsets(degree: int, nvars: int, forced: Set[int], max_excluded: int, exact: bool):

@@ -304,17 +304,21 @@ class DegenerationChain:
     terminal: Ideal
 
 
-def _graded_residues(I: Ideal, degree: int, modulus: Ideal) -> List[Polynomial]:
-    """Basis of the image of I_degree in P_degree modulo a monomial ideal."""
+def _quintic_residues(I: Ideal, modulus: Ideal) -> List[Polynomial]:
+    """Basis of the image of I_5 in P_5 modulo a monomial ideal, which must be
+    two-dimensional."""
     gens = modulus.monomial_generators()
     filtered = [
         Polynomial(
             {e: c for e, c in b.terms.items() if not any(monomial_divides(g, e) for g in gens)},
             NVARS,
         )
-        for b in FormSpace(I.gens, degree).basis()
+        for b in FormSpace(I.gens, 5).basis()
     ]
-    return FormSpace(filtered, degree).basis()
+    residues = FormSpace(filtered, 5).basis()
+    if len(residues) != 2:
+        raise FamilyError("expected a two-dimensional space of quintics beyond the quadrics")
+    return residues
 
 
 def _normalize_case1(I: Ideal, ell: Polynomial, L: List[Polynomial]) -> Tuple[Ideal, LinearChange]:
@@ -327,20 +331,11 @@ def _extract_case1(moved: Ideal) -> Tuple[Polynomial, Polynomial, Polynomial]:
     """On (t(x,y,z), f, g) coordinates: the shared quartic h and the two
     linear cofactors, living in k[x,y,z]."""
     x, y, z, t = variables()
-    quad = Ideal([t * x, t * y, t * z])
-    residues = _graded_residues(moved, 5, quad)
-    if len(residues) != 2:
-        raise FamilyError("expected a two-dimensional space of quintics beyond the quadrics")
+    residues = _quintic_residues(moved, Ideal([t * x, t * y, t * z]))
     for r in residues:
         if any(e[3] for e in r.terms):
             raise FamilyError("quintic representatives must avoid the distinguished variable")
-    f, g = residues
-    h = gcd_forms(f, g)
-    if h.homogeneous_degree() != 4:
-        raise FamilyError("quintics must share a quartic factor")
-    ell1 = divide_exact(f, h)
-    ell2 = divide_exact(g, h)
-    return h, ell1, ell2
+    return _quartic_and_cofactors(*residues)
 
 
 def _case1_inner_change(h, ell1, ell2) -> LinearChange:
@@ -383,10 +378,7 @@ def _extract_case2(moved: Ideal) -> Tuple[Polynomial, Polynomial, Polynomial, Fr
     """On (x(x,y,z), f, g) coordinates: h, the cofactors, and the coefficient
     of x*t^4; representatives live in k[y,z,t] + k*x*t^4."""
     x, y, z, t = variables()
-    quad = Ideal([x * x, x * y, x * z])
-    residues = _graded_residues(moved, 5, quad)
-    if len(residues) != 2:
-        raise FamilyError("expected a two-dimensional space of quintics beyond the quadrics")
+    residues = _quintic_residues(moved, Ideal([x * x, x * y, x * z]))
     xt4 = (1, 0, 0, 4)
     alphas = [r.coefficient(xt4) for r in residues]
     if alphas[0] == 0 and alphas[1] == 0:
@@ -401,12 +393,16 @@ def _extract_case2(moved: Ideal) -> Tuple[Polynomial, Polynomial, Polynomial, Fr
     for r in (f_prime, g):
         if any(e[0] for e in r.terms):
             raise FamilyError("representatives must be free of the shared linear form")
-    h = gcd_forms(f_prime, g) if f_prime and g else None
+    return (*_quartic_and_cofactors(f_prime, g), alpha)
+
+
+def _quartic_and_cofactors(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, ...]:
+    """The quartic h two quintic representatives share, and their linear
+    cofactors f / h and g / h."""
+    h = gcd_forms(f, g) if f and g else None
     if h is None or h.homogeneous_degree() != 4:
         raise FamilyError("quintics must share a quartic factor")
-    ell1 = divide_exact(f_prime, h)
-    ell2 = divide_exact(g, h)
-    return h, ell1, ell2, alpha
+    return h, divide_exact(f, h), divide_exact(g, h)
 
 
 def rs_degeneration(I: Ideal) -> DegenerationChain:
@@ -429,15 +425,19 @@ def _rs_case1(I: Ideal, ell, L) -> DegenerationChain:
     h, ell1, ell2 = _extract_case1(moved)
     inner = _case1_inner_change(h, ell1, ell2)
     normalized = Ideal([inner.apply(g) for g in moved.gens])
-    family = _psi_sigma_family(normalized)
+    step = _r6_step(_psi_sigma_family(normalized), "composite")
+    return DegenerationChain(steps=(step,), terminal=step.limit)
+
+
+def _r6_step(family: ParamFamily, kind: str) -> DegenerationStep:
+    """The step to the limit at infinity of a family, which must land in the
+    regularity-6 stratum."""
     data = family_limit_data(family, at="inf")
-    limit_report = classify(data.saturated)
-    step = DegenerationStep(
-        family=family, at="inf", limit=data.saturated, report=limit_report, raw_limit=data.raw
-    )
-    if limit_report.stratum != "R6":
-        raise ArithmeticError("composite degeneration must land in the regularity-6 stratum")
-    return DegenerationChain(steps=(step,), terminal=data.saturated)
+    report = classify(data.saturated)
+    if report.stratum != "R6":
+        raise ArithmeticError(f"{kind} degeneration must land in the regularity-6 stratum")
+    return DegenerationStep(family=family, at="inf", limit=data.saturated, report=report,
+                            raw_limit=data.raw)
 
 
 def _case2_normalized(I: Ideal, ell, L) -> Ideal:
@@ -454,16 +454,9 @@ def _rs_case2(I: Ideal, ell, L) -> DegenerationChain:
     h, ell1, ell2, alpha = _extract_case2(moved)
     weights = (1, 0, 0, 0)
     if alpha != 0:
-        family = weight_action_family(moved, weights, "scale the shared linear form")
-        data = family_limit_data(family, at="inf")
-        limit_report = classify(data.saturated)
-        if limit_report.stratum != "R6":
-            raise ArithmeticError("torus degeneration must land in the regularity-6 stratum")
-        step = DegenerationStep(
-            family=family, at="inf", limit=data.saturated, report=limit_report,
-            raw_limit=data.raw,
-        )
-        return DegenerationChain(steps=(step,), terminal=data.saturated)
+        step = _r6_step(weight_action_family(moved, weights, "scale the shared linear form"),
+                        "torus")
+        return DegenerationChain(steps=(step,), terminal=step.limit)
     # alpha = 0: route through the auxiliary ideal carrying an x*t^4 term
     plane = FormSpace([y, z], 1)
     if not plane.contains(ell2):
@@ -488,12 +481,6 @@ def _rs_case2(I: Ideal, ell, L) -> DegenerationChain:
         family=back_family, at="0", limit=back.saturated, report=classify(back.saturated),
         raw_limit=back.raw,
     )
-    family = weight_action_family(bridge, weights, "scale the shared linear form")
-    data = family_limit_data(family, at="inf")
-    limit_report = classify(data.saturated)
-    if limit_report.stratum != "R6":
-        raise ArithmeticError("torus degeneration must land in the regularity-6 stratum")
-    step2 = DegenerationStep(
-        family=family, at="inf", limit=data.saturated, report=limit_report, raw_limit=data.raw
-    )
-    return DegenerationChain(steps=(step1, step2), terminal=data.saturated)
+    step2 = _r6_step(weight_action_family(bridge, weights, "scale the shared linear form"),
+                     "torus")
+    return DegenerationChain(steps=(step1, step2), terminal=step2.limit)

@@ -4,20 +4,22 @@ intersection and equality.
 Monomial ideals take combinatorial fast paths throughout; everything else goes
 through the Buchberger engine.  Intersections use a single elimination tag
 variable; saturation by a variable uses the degrevlex last-variable division
-trick (exact), a linear form is first moved to the last variable, and general
-saturation iterates stable quotients.  Saturation by the irrelevant ideal is
-one saturation by the first linear form of a fixed sequence that keeps the
-Hilbert polynomial, which certifies it (Bayer-Stillman).
+trick (exact), and any other form f becomes a new last variable w = f, whose
+saturation is the same trick under a weighted order.  Saturation by the
+irrelevant ideal is one saturation by the first linear form of a fixed
+sequence that keeps the Hilbert polynomial, which certifies it
+(Bayer-Stillman).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import Subspace
-from .orders import DEGREVLEX, DegRevLex, Exponent, MonomialOrder, elimination_order
+from .orders import DEGREVLEX, DegRevLex, Exponent, MonomialOrder, WeightOrder, elimination_order
 from .poly import (
     NVARS,
     LinearChange,
@@ -101,8 +103,10 @@ class Ideal:
         return f"Ideal({inner})"
 
 
-def graded_monomial_basis(n: int, nvars: int) -> List[Exponent]:
-    return sorted(monomials_of_degree(n, nvars), key=DEGREVLEX.key, reverse=True)
+@lru_cache(maxsize=None)
+def graded_monomial_basis(n: int, nvars: int) -> Tuple[Exponent, ...]:
+    """The degree-n monomials, degrevlex-descending; built once per (n, nvars)."""
+    return tuple(sorted(monomials_of_degree(n, nvars), key=DEGREVLEX.key, reverse=True))
 
 
 class FormSpace:
@@ -346,36 +350,40 @@ def saturate_by_variable(I: Ideal, var: int) -> Ideal:
         gb = I.groebner_basis()
     else:
         gb = groebner_basis([_permute_poly(g, perm) for g in I.gens], DEGREVLEX)
-    out = []
-    for g in gb:
-        v = min(e[n - 1] for e in g.terms)
-        if v:
-            g = Polynomial(
-                {e[: n - 1] + (e[n - 1] - v,): c for e, c in g.terms.items()}, n
-            )
-        out.append(_permute_poly(g, inv))
-    return Ideal(out, n)
+    return Ideal([_permute_poly(_divide_out_last(g), inv) for g in gb], n)
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
-    """Stable colon ideal I : f^infinity."""
+    """Stable colon ideal I : f^infinity.
+
+    A variable takes ``saturate_by_variable``.  Any other form f, of degree
+    d, becomes a new last variable w of weight d: J = I + (w - f) is
+    homogeneous for that grading, and under degrevlex refined by it (or plain
+    degrevlex when d = 1) the leading term of a homogeneous form has its
+    least power of w.  So J : w^infinity is generated by the reduced basis of
+    J with each element's power of w divided out, and w -> f maps it onto
+    I : f^infinity, since k[x, w] / (w - f) is k[x] with w = f."""
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
     var = _as_variable(f)
     if var is not None:
         return saturate_by_variable(I, var)
-    if f.homogeneous_degree() == 1:
-        change = to_last_variable(f)
-        moved = Ideal([change.apply(g) for g in I.gens], I.nvars)
-        sat = saturate_by_variable(moved, I.nvars - 1)
-        back = change.inverse()
-        return Ideal([back.apply(g) for g in sat.gens], I.nvars)
-    current = I
-    while True:
-        nxt = quotient(current, f)
-        if equal(nxt, current):
-            return current
-        current = nxt
+    d, n = f.homogeneous_degree(), I.nvars
+    if d is None:
+        raise ValueError("the saturating form must be homogeneous")
+    order = DEGREVLEX if d == 1 else WeightOrder((1,) * n + (d,), DEGREVLEX)
+    w = Polynomial.variable(n, n + 1)
+    gb = groebner_basis([g.extend() for g in I.gens] + [w - f.extend()], order)
+    images = variables(n) + (f,)
+    return Ideal([_divide_out_last(g).substitute(images) for g in gb], n)
+
+
+def _divide_out_last(g: Polynomial) -> Polynomial:
+    """g divided by the largest power of the last variable dividing it."""
+    v = min(e[-1] for e in g.terms)
+    if not v:
+        return g
+    return Polynomial({e[:-1] + (e[-1] - v,): c for e, c in g.terms.items()}, g.nvars)
 
 
 def _as_variable(f: Polynomial) -> Optional[int]:

@@ -154,10 +154,8 @@ class R3PrimeShape:
             _require(form.homogeneous_degree() == 1, f"{name} must be a nonzero linear form")
         _require(FormSpace([self.ell1, self.ell2], 1).dim == 2, "ell1, ell2 must be independent")
         _require(self.cubic.homogeneous_degree() == 3, "the extra generator must be a cubic")
-        _require(
-            FormSpace([self.ell1, self.ell2], 3).contains(self.cubic),
-            "the cubic must lie in (ell1, ell2)",
-        )
+        _require(Ideal([self.ell1, self.ell2]).contains(self.cubic),
+                 "the cubic must lie in (ell1, ell2)")
         _require(divide_exact(self.cubic, self.ell) is None, "the cubic must not be divisible by ell")
 
     @staticmethod
@@ -319,21 +317,25 @@ def _proportional(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 # building ideals from shapes
 
-def build_stratum_ideal(shape, check: bool = True) -> Ideal:
-    """The ideal a validated shape denotes; checks the Hilbert-function and
-    regularity contract of its stratum."""
+def build_stratum_ideal(shape) -> Ideal:
+    """The ideal a shape denotes.  A broken shape clause raises ShapeError;
+    a valid shape whose ideal breaks its stratum's contract raises
+    ArithmeticError (see ``_contract_ideal``)."""
     shape.validate()
-    label, reg = shape.label, shape.regularity
+    return _contract_ideal(shape)
+
+
+def _contract_ideal(shape) -> Ideal:
+    """The ideal of a valid shape, checked against its stratum's contract:
+    Hilbert function PHI[r] through degree 8 and regularity r.  A break
+    contradicts the stratification, so it raises ArithmeticError naming the
+    shape."""
     ideal = Ideal(shape.generators())
-    if check:
-        values = tuple(hilbert_function(ideal, n) for n in range(9))
-        if values != PHI[reg]:
-            raise ShapeError(
-                f"shape of stratum {label} has Hilbert function {values}, expected {PHI[reg]}"
-            )
-        actual = regularity(ideal)
-        if actual != reg:
-            raise ShapeError(f"shape of stratum {label} has regularity {actual}, expected {reg}")
+    got = tuple(hilbert_function(ideal, n) for n in range(9)), regularity(ideal)
+    expected = PHI[shape.regularity], shape.regularity
+    if got != expected:
+        raise ArithmeticError(f"{shape!r} of stratum {shape.label} has Hilbert function and "
+                              f"regularity {got}, expected {expected}")
     return ideal
 
 
@@ -351,43 +353,47 @@ def _random_independent_linears(rng, count: int, bound: int = 5) -> List[Polynom
     raise ArithmeticError("failed to draw independent linear forms")
 
 
-def sample_shape(label: str, rng: random.Random, bound: int = 5):
-    """A random valid shape for the given stratum, by rejection."""
+def sample_stratum_with_shape(label: str, rng: random.Random, bound: int = 5):
+    """A random (shape, ideal) pair of the stratum, with integer coefficients.
+
+    Each draw's shape is validated once; a ShapeError means the next draw.
+    The first valid shape's ideal is then checked once against the stratum's
+    contract, and a break raises ArithmeticError naming the shape instead of
+    being drawn again (``_contract_ideal``)."""
+    if label not in STRATA:
+        raise ValueError(f"unknown stratum {label!r}; choose from {STRATA}")
     for _ in range(_MAX_DRAWS):
+        if label == "V":
+            shape = CIShape(random_form(rng, 2, bound=bound), random_form(rng, 2, bound=bound))
+        elif label == "R3'":
+            ell, ell1, ell2 = (
+                random_form(rng, 1, bound=bound),
+                *_random_independent_linears(rng, 2, bound),
+            )
+            shape = R3PrimeShape.from_pq(
+                ell, ell1, ell2, random_form(rng, 2, bound=bound), random_form(rng, 2, bound=bound)
+            )
+        elif label == "R4":
+            ell = random_form(rng, 1, bound=bound)
+            ell1, ell2 = _random_independent_linears(rng, 2, bound)
+            q = random_form(rng, 2, bound=bound)
+            p = (
+                ell1 * random_form(rng, 3, bound=bound)
+                + ell2 * random_form(rng, 3, bound=bound)
+                + q * random_form(rng, 2, bound=bound)
+            )
+            shape = R4Shape(ell, ell1, ell2, q, p)
+        elif label == "R5":
+            shape = _sample_r5(rng, bound)
+        else:
+            ell, h = _random_independent_linears(rng, 2, bound)
+            f, g = random_form(rng, 4, bound=bound), random_form(rng, 2, bound=bound)
+            shape = R6Shape(ell, f, h, g)
         try:
-            if label == "V":
-                shape = CIShape(random_form(rng, 2, bound=bound), random_form(rng, 2, bound=bound))
-            elif label == "R3'":
-                ell, ell1, ell2 = (
-                    random_form(rng, 1, bound=bound),
-                    *_random_independent_linears(rng, 2, bound),
-                )
-                shape = R3PrimeShape.from_pq(
-                    ell, ell1, ell2, random_form(rng, 2, bound=bound), random_form(rng, 2, bound=bound)
-                )
-            elif label == "R4":
-                ell = random_form(rng, 1, bound=bound)
-                ell1, ell2 = _random_independent_linears(rng, 2, bound)
-                q = random_form(rng, 2, bound=bound)
-                p = (
-                    ell1 * random_form(rng, 3, bound=bound)
-                    + ell2 * random_form(rng, 3, bound=bound)
-                    + q * random_form(rng, 2, bound=bound)
-                )
-                shape = R4Shape(ell, ell1, ell2, q, p)
-            elif label == "R5":
-                shape = _sample_r5(rng, bound)
-            elif label == "R6":
-                ell, h = _random_independent_linears(rng, 2, bound)
-                shape = R6Shape(
-                    ell, random_form(rng, 4, bound=bound), h, random_form(rng, 2, bound=bound)
-                )
-            else:
-                raise ValueError(f"unknown stratum {label!r}; choose from {STRATA}")
             shape.validate()
-            return shape
         except ShapeError:
             continue
+        return shape, _contract_ideal(shape)
     raise ArithmeticError(f"rejection sampling for stratum {label} exhausted")
 
 
@@ -428,20 +434,9 @@ def _sample_r5(rng: random.Random, bound: int) -> R5Shape:
     return R5Shape(case=case, ell=ell, L=L, ell1=ell1, ell2=ell2, h=h, alpha=alpha, w=w)
 
 
-def sample_stratum_with_shape(label: str, rng: random.Random, bound: int = 5):
-    """A random valid (shape, ideal) pair; degenerate draws are rejected."""
-    for _ in range(_MAX_DRAWS):
-        shape = sample_shape(label, rng, bound)
-        try:
-            return shape, build_stratum_ideal(shape)
-        except ShapeError:
-            continue
-    raise ArithmeticError(f"rejection sampling for stratum {label} exhausted")
-
-
 def sample_stratum(label: str, rng: random.Random, bound: int = 5) -> Ideal:
-    """A random ideal of the stratum with integer coefficients; the shape
-    contract (Hilbert function and regularity) is asserted."""
+    """The ideal of ``sample_stratum_with_shape``: a random ideal of the
+    stratum whose contract has been checked once."""
     return sample_stratum_with_shape(label, rng, bound)[1]
 
 

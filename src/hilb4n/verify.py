@@ -37,13 +37,7 @@ from .ideals import Ideal, equal, groebner_basis, initial_ideal, saturate
 from .orders import LEX
 from .parser import format_ideal
 from .poly import random_form, variables
-from .strata import (
-    FOUR_N,
-    PHI,
-    dimension_table,
-    sample_stratum,
-    sample_stratum_with_shape,
-)
+from .strata import FOUR_N, dimension_table, sample_stratum, sample_stratum_with_shape
 from .tangent import tangent_dimension
 
 DEFAULT_SEED = 414243
@@ -240,108 +234,96 @@ def _no_failures(id: str, description: str, anchor: str, samples: int,
                                   {"samples": samples, "failures": failures})
 
 
-def _suite_failures(label: str, count: int, rng: random.Random, reg: int) -> int:
-    failures = 0
+def _sample_failures(label: str, count: int, rng: random.Random, *checks) -> List[int]:
+    """Draw ``count`` samples of a stratum and count, first, those whose
+    ideal breaks the stratum's contract (``sample_stratum_with_shape``
+    raises), then, for each check(shape, ideal), those that break the
+    contract or fail the check.  Checks run in order after each draw, so
+    they may draw from ``rng`` too."""
+    failures = [0] * (1 + len(checks))
     for _ in range(count):
-        I = sample_stratum(label, rng)
-        values = tuple(hilbert_function(I, n) for n in range(9))
-        if values != PHI[reg] or regularity(I) != reg:
-            failures += 1
+        try:
+            shape, I = sample_stratum_with_shape(label, rng)
+        except ArithmeticError:
+            failures = [f + 1 for f in failures]
+            continue
+        for k, check in enumerate(checks, 1):
+            failures[k] += not check(shape, I)
     return failures
 
 
 def run_prop21(seed: int) -> List[VerificationItem]:
     rng = _rng(seed, "prop21")
-    items = [
+    return [
         _no_failures(
             "prop21/ci-suite",
             "100 random coprime quadric pairs: Hilbert function and regularity 3",
             "regularity-3/complete-intersections",
-            100, _suite_failures("V", 100, rng, 3),
+            100, _sample_failures("V", 100, rng)[0],
         ),
         _no_failures(
             "prop21/shared-factor-suite",
             "100 random shared-factor ideals: Hilbert function and regularity 3",
             "regularity-3/shared-factor-shape",
-            100, _suite_failures("R3'", 100, rng, 3),
+            100, _sample_failures("R3'", 100, rng)[0],
         ),
     ]
-    return items
 
 
 def run_prop22(seed: int) -> List[VerificationItem]:
-    rng = _rng(seed, "prop22")
-    failures = 0
-    aux_failures = 0
-    count = 100
-    for _ in range(count):
-        shape, I = sample_stratum_with_shape("R4", rng)
-        values = tuple(hilbert_function(I, n) for n in range(9))
-        if values != PHI[4] or regularity(I) != 4:
-            failures += 1
-        sub = Ideal(
-            [shape.ell * shape.ell1, shape.ell * shape.ell2, shape.ell * shape.q]
-        )
-        if hilbert_function(sub, 4) != 18:
-            aux_failures += 1
+    def aux(shape, I):
+        return hilbert_function(Ideal([shape.ell * b for b in (shape.ell1, shape.ell2, shape.q)]),
+                                4) == 18
+
+    failures, aux_failures = _sample_failures("R4", 100, _rng(seed, "prop22"), aux)
     return [
         _no_failures(
             "prop22/suite",
             "100 random regularity-4 shapes: Hilbert function and regularity 4",
             "regularity-4/shape",
-            count, failures,
+            100, failures,
         ),
         _no_failures(
             "prop22/aux-dimension",
             "the degree-4 piece of ell*(ell1, ell2, q) has dimension 18",
             "regularity-4/auxiliary-dimension",
-            count, aux_failures,
+            100, aux_failures,
         ),
     ]
 
 
 def run_r5r6(seed: int) -> List[VerificationItem]:
     rng = _rng(seed, "r5r6")
-    items = []
-    failures = 0
-    net_failures = 0
-    case1_seen = 0
-    for _ in range(50):
-        shape, I = sample_stratum_with_shape("R5", rng)
-        values = tuple(hilbert_function(I, n) for n in range(9))
-        if values != PHI[5] or regularity(I) != 5:
-            failures += 1
-        if shape.case == 1:
-            case1_seen += 1
-            net = Ideal([shape.ell * b for b in shape.L])
-            if hilbert_function(net, 5) != 34:
-                net_failures += 1
-    items.append(
+    case1 = []
+
+    def net(shape, I):
+        if shape.case != 1:
+            return True
+        case1.append(shape)
+        return hilbert_function(Ideal([shape.ell * b for b in shape.L]), 5) == 34
+
+    failures, net_failures = _sample_failures("R5", 50, rng, net)
+    return [
         _no_failures(
             "r5r6/r5-suite",
             "50 random regularity-5 shapes: Hilbert function and regularity 5",
             "regularity-5/shape",
             50, failures,
-        )
-    )
-    items.append(
+        ),
         VerificationItem.check(
             "r5r6/net-dimension",
             "the degree-5 piece of ell*L has dimension 34 (case-1 samples)",
             "regularity-5/net-dimension",
             {"case1_samples_nonzero": True, "failures": 0},
-            {"case1_samples_nonzero": case1_seen > 0, "failures": net_failures},
-        )
-    )
-    items.append(
+            {"case1_samples_nonzero": bool(case1), "failures": net_failures},
+        ),
         _no_failures(
             "r5r6/r6-suite",
             "50 random regularity-6 shapes: Hilbert function and regularity 6",
             "regularity-6/shape",
-            50, _suite_failures("R6", 50, rng, 6),
-        )
-    )
-    return items
+            50, _sample_failures("R6", 50, rng)[0],
+        ),
+    ]
 
 
 def run_macaulay(seed: int) -> List[VerificationItem]:
@@ -384,18 +366,15 @@ def run_gin(seed: int) -> List[VerificationItem]:
     ]
     items = []
     for label, target, count in expectations:
-        failures = 0
-        for _ in range(count):
-            I = sample_stratum(label, rng)
-            result = generic_initial_ideal(I, rng)
-            if not equal(result.gin, catalog[target].ideal):
-                failures += 1
+        def gin_ok(shape, I, expected=catalog[target].ideal):
+            return equal(generic_initial_ideal(I, rng).gin, expected)
+
         items.append(
             _no_failures(
                 f"gin/{label}",
                 f"{count} random {label} samples have generic initial ideal {target}",
                 f"generic-initial-ideals/{label}",
-                count, failures,
+                count, _sample_failures(label, count, rng, gin_ok)[-1],
             )
         )
     return items
@@ -437,17 +416,13 @@ def run_tangent(seed: int) -> List[VerificationItem]:
             tangent_dimension(catalog["B6"].ideal).dimension,
         )
     ]
-    failures = 0
-    for _ in range(10):
-        I = sample_stratum("V", rng)
-        if tangent_dimension(I).dimension != 16:
-            failures += 1
+    failures = _sample_failures("V", 10, rng, lambda shape, I: tangent_dimension(I).dimension == 16)
     items.append(
         _no_failures(
             "tangent/ci-suite",
             "10 random complete intersections have tangent dimension 16",
             "tangent-spaces/complete-intersections",
-            10, failures,
+            10, failures[-1],
         )
     )
     for name, bound in (("B3", 16), ("B4", 23), ("B5", 23)):
@@ -466,20 +441,20 @@ def run_tangent(seed: int) -> List[VerificationItem]:
 
 def run_va(seed: int) -> List[VerificationItem]:
     rng = _rng(seed, "va-degeneration")
-    failures = 0
-    count = 25
-    for _ in range(count):
-        I = sample_stratum("R3'", rng)
+
+    def round_trip(shape, I):
         try:
             va_degeneration(I, rng)  # asserts the round trip and fibre checks
         except (ArithmeticError, ValueError):
-            failures += 1
+            return False
+        return True
+
     return [
         _no_failures(
             "va/round-trip",
             "25 random shared-factor ideals are limits of complete-intersection pencils",
             "degenerations/ci-pencil-round-trip",
-            count, failures,
+            25, _sample_failures("R3'", 25, rng, round_trip)[-1],
         )
     ]
 

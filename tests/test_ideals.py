@@ -295,15 +295,29 @@ def colon_inputs(draw):
     return Ideal(gens, nvars), draw(st.integers(0, nvars - 1))
 
 
+def _stable_colon(I, f):
+    """I : f^infinity by the quotient loop, the reference route."""
+    while not equal(nxt := quotient(I, f), I):
+        I = nxt
+    return I
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(colon_inputs())
 def test_saturate_by_variable_is_the_stable_colon(ideal_var):
     I, v = ideal_var
-    var = Polynomial.variable(v, I.nvars)
-    colon = I
-    while not equal(nxt := quotient(colon, var), colon):
-        colon = nxt
-    assert equal(saturate_by_variable(I, v), colon)
+    assert equal(saturate_by_variable(I, v), _stable_colon(I, Polynomial.variable(v, I.nvars)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(colon_inputs(), st.integers(1, 2), st.data())
+def test_saturate_by_a_form_is_the_stable_colon(ideal_var, degree, data):
+    # a form that is not a variable goes through the new variable w = f; the
+    # first generator is multiplied by f so the saturation has work to do
+    I, _ = ideal_var
+    f = data.draw(forms(I.nvars, degree).filter(lambda f: len(f.terms) > 1))
+    I = Ideal([I.gens[0] * f, *I.gens[1:]], I.nvars)
+    assert equal(saturate(I, f), _stable_colon(I, f))
 
 
 def test_form_space_rejects_inhomogeneous_generators():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from hilb4n.hilbert import (
     quotient_hilbert_polynomial,
     regularity,
 )
+from hilb4n import verify
 from hilb4n.ideals import FormSpace, Ideal, equal
+from hilb4n.parser import format_ideal
 from hilb4n.poly import (
     LinearChange,
     Polynomial,
@@ -39,6 +42,7 @@ from hilb4n.strata import (
     point_ideal,
     rs_family_ideal,
     sample_stratum,
+    sample_stratum_with_shape,
     sample_rs_family,
 )
 
@@ -204,6 +208,40 @@ def test_sampler_contracts(rng):
     for label, reg in (("V", 3), ("R3'", 3), ("R4", 4), ("R5", 5), ("R6", 6)):
         I = sample_stratum(label, rng)
         assert tuple(hilbert_function(I, n) for n in range(9)) == PHI[reg]
+
+
+# SHA-256 of three seeded samples per stratum, as ``format_ideal`` text.  The
+# bench pools are drawn the same way, so a change in how the samplers use
+# their generator shows here first.
+DRAW_DIGESTS = {
+    "V": "7f0cf2dcd05d8f7eaa90c457b7b9e041fbb14f2c62b91d46373a6741a3217a57",
+    "R3'": "37298ab3e7db5d900903fadd75e48008398a4654360d14c88365542f5c363307",
+    "R4": "142d7c7750d095c6d676cf3dcf8db8980be8b455a9cfacd0cd3516aad6b60077",
+    "R5": "93fcc19249296f2becff9ad5a480e5bdf78cb459ca0e3f40ac2a35369f2cbf38",
+    "R6": "69ca3c542eab610b83d6ef0d2e24edf7413e30b4a418370fe40b8a5176a4d2f7",
+}
+
+
+def test_seeded_draws_are_pinned():
+    for label, digest in DRAW_DIGESTS.items():
+        rng = random.Random(f"draws:{label}")
+        text = "\n\n".join(format_ideal(sample_stratum(label, rng)) for _ in range(3))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, label
+
+
+def test_a_contract_break_is_a_counterexample(monkeypatch):
+    # with PHI[3] wrong, the first valid V shape is raised, not drawn again,
+    # and every sample of the regularity-3 suites counts as a failure
+    monkeypatch.setitem(PHI, 3, (0,) * 9)
+    validated, validate = [], CIShape.validate
+    monkeypatch.setattr(CIShape, "validate", lambda self: validated.append(self) or validate(self))
+    with pytest.raises(ArithmeticError, match="of stratum V has Hilbert function") as raised:
+        sample_stratum_with_shape("V", random.Random(1))
+    assert len(validated) == 1 and repr(validated[0]) in str(raised.value)
+    items = verify.run_prop21(verify.DEFAULT_SEED)
+    assert [item.computed for item in items] == [{"samples": 100, "failures": 100}] * 2
+    assert {item.status for item in items} == {"fail"}
+    assert verify._sample_failures("V", 3, random.Random(2), lambda shape, I: True) == [3, 3]
 
 
 def test_classify_examples(catalog, rng):
