@@ -14,8 +14,8 @@ from .families import (
 )
 from .gin import GinResult, generic_initial_ideal, is_saturated
 from .hilbert import (
-    HilbertFunction,
     HilbertPolynomial,
+    gotzmann_decomposition,
     gotzmann_number,
     hilbert_function,
     hilbert_polynomial,
@@ -34,8 +34,8 @@ from .ideals import (
     saturate_irrelevant,
 )
 from .linalg import kernel_basis
-from .orders import DEGREVLEX, LEX, compare_monomials
-from .poly import LinearChange, Polynomial, apply_change
+from .orders import DEGREVLEX, LEX
+from .poly import LinearChange, Polynomial
 from .strata import (
     StratumReport,
     build_stratum_ideal,

@@ -23,7 +23,7 @@ from .hilbert import (
     quotient_hilbert_polynomial,
     regularity,
 )
-from .ideals import Ideal, groebner_basis, saturate, saturate_irrelevant
+from .ideals import Ideal, groebner_basis, minimal_generators, saturate, saturate_irrelevant
 from .orders import order_by_name
 from .parser import (
     ParseError,
@@ -59,9 +59,7 @@ def _read_ideal(path: str) -> Ideal:
         raise CliError(f"cannot read {path}: {exc}", USAGE_ERROR)
     try:
         return parse_ideal(text).ideal()
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}", USAGE_ERROR)
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         raise CliError(f"{path}: {exc}", USAGE_ERROR)
 
 
@@ -71,6 +69,12 @@ def _emit(args, payload: dict, text_lines: List[str]):
     else:
         for line in text_lines:
             print(line)
+
+
+def _emit_ideal(args, payload: dict, I: Ideal):
+    """Print I's generators, one per line; ``payload`` gets them as a list."""
+    lines = format_ideal(I).split("\n")
+    _emit(args, {**payload, "generators": [l.rstrip(";") for l in lines]}, lines)
 
 
 def _cmd_hf(args) -> int:
@@ -134,8 +138,7 @@ def _cmd_sat(args) -> int:
         result = saturate(I, f)
     else:
         result = saturate_irrelevant(I)
-    lines = format_ideal(result).split("\n")
-    _emit(args, {"generators": [l.rstrip(";") for l in lines]}, lines)
+    _emit_ideal(args, {}, Ideal(minimal_generators(result)))
     return 0
 
 
@@ -215,8 +218,7 @@ def _cmd_lex_point(args) -> int:
         I = lex_ideal(p)
     except ValueError as exc:
         raise CliError(str(exc), MATH_ERROR)
-    lines = format_ideal(I).split("\n")
-    _emit(args, {"generators": [l.rstrip(";") for l in lines]}, lines)
+    _emit_ideal(args, {}, I)
     return 0
 
 
@@ -226,8 +228,7 @@ def _cmd_sample(args) -> int:
         I = sample_stratum(args.stratum, rng)
     except (ValueError, ArithmeticError) as exc:
         raise CliError(str(exc), MATH_ERROR)
-    lines = format_ideal(I).split("\n")
-    _emit(args, {"stratum": args.stratum, "generators": [l.rstrip(";") for l in lines]}, lines)
+    _emit_ideal(args, {"stratum": args.stratum}, I)
     return 0
 
 
@@ -245,8 +246,7 @@ def _cmd_limit(args) -> int:
         limit = family_limit(family, at)
     except (ValueError, ArithmeticError) as exc:
         raise CliError(str(exc), MATH_ERROR)
-    lines = format_ideal(limit).split("\n")
-    _emit(args, {"at": args.at, "generators": [l.rstrip(";") for l in lines]}, lines)
+    _emit_ideal(args, {"at": args.at}, limit)
     return 0
 
 

@@ -70,10 +70,6 @@ class ParamFamily:
             return degs.pop()
         return None
 
-    @staticmethod
-    def constant(I: Ideal, description: str = "constant family") -> "ParamFamily":
-        return ParamFamily(tuple(g.extend() for g in I.gens), description)
-
     def specialize(self, value) -> Ideal:
         """Substitute the parameter; not automatically saturated."""
         value = Fraction(value)

@@ -253,17 +253,18 @@ def _reduce_basis(basis: List[_Basis], packing: Packing) -> List[Polynomial]:
 # ---------------------------------------------------------------------------
 # syzygies of a Groebner basis via traced S-pair reductions
 
-def gb_syzygies(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> List[List[Polynomial]]:
+def gb_syzygies(gb: Sequence[Polynomial]) -> List[List[Polynomial]]:
     """Generators of the syzygy module of a Groebner basis.
 
     Every S-pair of the basis reduces to zero; its traced reduction yields one
     relation.  The full pair set is processed, so by Schreyer's theorem the
     returned vectors generate all syzygies of ``gb`` (Eisenbud, *Commutative
-    Algebra*, Thm 15.10).  A ``_Prepared`` basis lends its integer forms.
+    Algebra*, Thm 15.10).  A ``_Prepared`` basis lends its integer forms and
+    its order; any other is taken as a degrevlex basis.
     """
-    if not (isinstance(gb, _Prepared) and gb.order == order):
-        gb = _Prepared(gb, order)
-    packing = order.packing(gb[0].nvars if gb else 0)
+    if not isinstance(gb, _Prepared):
+        gb = _Prepared(gb)
+    packing = gb.order.packing(gb[0].nvars if gb else 0)
     basis = gb.basis
     # basis[k] is gb[k] scaled by scales[k]
     scales = [b.lc / g.terms[packing.exponents(b.lm)] for g, b in zip(gb, basis)]
@@ -294,14 +295,14 @@ def _spair_syzygy(basis: Sequence[_Basis], i: int, j: int, packing: Packing) -> 
 
 
 def division_quotients(
-    f: Polynomial, basis_polys: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
+    f: Polynomial, basis_polys: Sequence[Polynomial]
 ) -> Tuple[Polynomial, List[Polynomial]]:
-    """Exact division: returns (r, [q_i]) with f = r + sum(q_i * basis_i)."""
-    fi, scale = _to_int_poly(f, order)
+    """Exact degrevlex division: returns (r, [q_i]) with f = r + sum(q_i * basis_i)."""
+    fi, scale = _to_int_poly(f, DEGREVLEX)
     if not fi:
         return f, [Polynomial.zero(f.nvars) for _ in basis_polys]
-    packing = order.packing(f.nvars)
-    data = [_to_int_poly(g, order) for g in basis_polys]
+    packing = DEGREVLEX.packing(f.nvars)
+    data = [_to_int_poly(g, DEGREVLEX) for g in basis_polys]
     basis = [_Basis(d[0]) for d in data]
     trace: List[IntPoly] = [dict() for _ in basis]
     r, mult = _normal_form_int(fi, basis, packing, trace=trace)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .ideals import Ideal, groebner_basis, minimalize_monomials
 from .ideals import saturating_form, to_last_variable
 from .orders import Exponent
-from .poly import Polynomial, count_monomials, monomials_of_degree
+from .poly import Polynomial, count_monomials, format_polynomial, monomials_of_degree
 
 
 # ---------------------------------------------------------------------------
@@ -32,10 +32,6 @@ class HilbertPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @staticmethod
-    def zero() -> "HilbertPolynomial":
-        return HilbertPolynomial([])
 
     @staticmethod
     @lru_cache(maxsize=1024)  # shared: a HilbertPolynomial is never changed
@@ -91,37 +87,18 @@ class HilbertPolynomial:
     def leading_coefficient(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
-    def gotzmann_decomposition(self) -> List[int]:
-        """Exponents (a_1 >= a_2 >= ... >= a_r >= 0) of the unique binomial
-        decomposition p(n) = sum_i C(n + a_i - i + 1, a_i)."""
-        return _gotzmann_decomposition(self)
-
     def __repr__(self):
         return f"HilbertPolynomial({format_hilbert_polynomial(self)})"
 
 
 def format_hilbert_polynomial(p: HilbertPolynomial) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for power in range(p.degree(), -1, -1):
-        c = p.coeffs[power]
-        if not c:
-            continue
-        if power == 0:
-            body = str(abs(c))
-        else:
-            mono = "n" if power == 1 else f"n^{power}"
-            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    """p in the parser's polynomial syntax over the one variable n."""
+    return format_polynomial(Polynomial({(i,): c for i, c in enumerate(p.coeffs)}, 1), ("n",))
 
 
-def _gotzmann_decomposition(p: HilbertPolynomial, max_terms: int = 10000) -> List[int]:
+def gotzmann_decomposition(p: HilbertPolynomial) -> List[int]:
+    """Exponents (a_1 >= a_2 >= ... >= a_r >= 0) of the unique binomial
+    decomposition p(n) = sum_i C(n + a_i - i + 1, a_i)."""
     if p.is_zero():
         return []
     q = p
@@ -129,7 +106,7 @@ def _gotzmann_decomposition(p: HilbertPolynomial, max_terms: int = 10000) -> Lis
     i = 0
     while not q.is_zero():
         i += 1
-        if i > max_terms:
+        if i > 10000:  # bounds the work on hostile input
             raise ValueError("no Gotzmann decomposition: too many terms")
         a = q.degree()
         if a < 0 or q.leading_coefficient() <= 0:
@@ -147,35 +124,11 @@ def _gotzmann_decomposition(p: HilbertPolynomial, max_terms: int = 10000) -> Lis
 def gotzmann_number(p: HilbertPolynomial) -> int:
     """Number of terms of the binomial decomposition; bounds the regularity of
     every saturated ideal with quotient Hilbert polynomial p."""
-    return len(_gotzmann_decomposition(p))
+    return len(gotzmann_decomposition(p))
 
 
 # ---------------------------------------------------------------------------
 # Hilbert functions
-
-class HilbertFunction:
-    """Table of graded dimensions dim I_n for an ideal."""
-
-    __slots__ = ("table", "nvars")
-
-    def __init__(self, table: Dict[int, int], nvars: int):
-        self.table = dict(table)
-        self.nvars = nvars
-
-    @staticmethod
-    def of_ideal(I: Ideal, upto: int) -> "HilbertFunction":
-        return HilbertFunction({n: hilbert_function(I, n) for n in range(upto + 1)}, I.nvars)
-
-    def values(self, upto: int) -> Tuple[int, ...]:
-        return tuple(self.table[n] for n in range(upto + 1))
-
-    def __getitem__(self, n: int) -> int:
-        return self.table[n]
-
-    def __repr__(self):
-        vals = [self.table[k] for k in sorted(self.table)]
-        return f"HilbertFunction({vals})"
-
 
 def _initial_generators(I: Ideal) -> Tuple[Exponent, ...]:
     """The minimal generators of the degrevlex initial ideal, cached."""
@@ -209,6 +162,7 @@ def quotient_hilbert_function(I: Ideal, n: int) -> int:
 # Hilbert series of monomial ideals (exact numerator over (1-T)^nvars)
 
 def _series_numerator(gens: Tuple[Exponent, ...], nvars: int) -> Dict[int, int]:
+    """Degree -> nonzero coefficient, so equal series give equal dicts."""
     gens = tuple(sorted(minimalize_monomials(gens)))
     return dict(_series_numerator_cached(gens, nvars))
 
@@ -232,7 +186,7 @@ def _series_numerator_cached(gens: Tuple[Exponent, ...], nvars: int) -> Tuple[Tu
                 new[k] = new.get(k, 0) + c
                 new[k + d] = new.get(k + d, 0) - c
             num = new
-        return tuple(sorted(num.items()))
+        return tuple(sorted((k, c) for k, c in num.items() if c))
     # split on a variable power occurring in several generators
     counts = [sum(1 for g in gens if g[v]) for v in range(nvars)]
     var = max(range(nvars), key=lambda v: counts[v])
@@ -291,7 +245,7 @@ def _torsion_top(lead: Sequence[Exponent], nvars: int) -> Optional[int]:
     sat = minimalize_monomials(m[:-1] + (0,) for m in lead)
     for k, c in _series_numerator(tuple(sat), nvars).items():
         diff[k] = diff.get(k, 0) - c
-    coeffs = [diff.get(k, 0) for k in range(max(diff) + nvars + 1)]
+    coeffs = [diff.get(k, 0) for k in range(max(diff, default=0) + nvars + 1)]
     for _ in range(nvars):
         coeffs = list(accumulate(coeffs))  # times 1 / (1 - T)
         if coeffs.pop():

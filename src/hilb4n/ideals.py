@@ -80,11 +80,11 @@ class Ideal:
         self._gb_cache[order] = gb
         return gb
 
-    def contains(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> bool:
-        return normal_form(f, self, order).is_zero()
+    def contains(self, f: Polynomial) -> bool:
+        return normal_form(f, self).is_zero()
 
-    def contains_ideal(self, other: "Ideal", order: MonomialOrder = DEGREVLEX) -> bool:
-        return all(self.contains(g, order) for g in other.gens)
+    def contains_ideal(self, other: "Ideal") -> bool:
+        return all(self.contains(g) for g in other.gens)
 
     def graded_piece(self, n: int) -> Subspace:
         """Degree-n piece of the ideal as a subspace of P_n in the monomial
@@ -226,9 +226,9 @@ def groebner_basis(
     return _gb.buchberger(gens, order)
 
 
-def normal_form(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Unique remainder of f modulo I under the given order."""
-    return _gb.normal_form_poly(f, I.groebner_basis(order), order)
+def normal_form(f: Polynomial, I: Ideal) -> Polynomial:
+    """Unique remainder of f modulo I under degrevlex."""
+    return _gb.normal_form_poly(f, I.groebner_basis())
 
 
 def initial_ideal(I: Ideal, order: MonomialOrder = DEGREVLEX) -> Ideal:

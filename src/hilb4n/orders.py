@@ -73,13 +73,6 @@ class MonomialOrder:
     def key(self, e: Exponent) -> int:
         return self.packing(len(e)).key(e)
 
-    def compare(self, a: Exponent, b: Exponent) -> int:
-        """Return -1, 0, or 1 as a <, =, > b."""
-        if len(a) != len(b):
-            raise ValueError(f"monomials live in different rings: {a} vs {b}")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def __repr__(self):
         return self.name
 
@@ -158,8 +151,3 @@ def order_by_name(name: str) -> MonomialOrder:
         return table[name]
     except KeyError:
         raise ValueError(f"unknown monomial order {name!r}; choose from {sorted(table)}")
-
-
-def compare_monomials(a: Exponent, b: Exponent, order: MonomialOrder) -> int:
-    """Compare two exponent tuples under ``order``; -1/0/1 for less/equal/greater."""
-    return order.compare(tuple(a), tuple(b))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .hilbert import HilbertPolynomial, format_hilbert_polynomial
 from .ideals import Ideal
@@ -210,20 +210,12 @@ def parse_polynomial(text: str, variables: Sequence[str] = RING_VARS) -> Polynom
     return poly
 
 
-def parse_ideal(
-    text: str,
-    variables: Sequence[str] = RING_VARS,
-    allow_inhomogeneous: bool = False,
-) -> IdealDocument:
-    parser = _Parser(_tokenize(text), variables)
-    gens = parser.parse_generators()
-    if not allow_inhomogeneous:
-        for g in gens:
-            if not g.is_homogeneous():
-                raise ParseError(
-                    f"inhomogeneous generator: {format_polynomial(g, variables)}", 1, 1
-                )
-    return IdealDocument(variables=tuple(variables), generators=tuple(gens))
+def parse_ideal(text: str) -> IdealDocument:
+    gens = _Parser(_tokenize(text), RING_VARS).parse_generators()
+    for g in gens:
+        if not g.is_homogeneous():
+            raise ParseError(f"inhomogeneous generator: {format_polynomial(g)}", 1, 1)
+    return IdealDocument(variables=RING_VARS, generators=tuple(gens))
 
 
 def parse_family(text: str) -> IdealDocument:
@@ -244,19 +236,10 @@ def parse_family(text: str) -> IdealDocument:
 
 
 def parse_hilbert_polynomial(text: str) -> HilbertPolynomial:
-    poly = parse_polynomial(text, variables=("n",))
-    coeffs: Dict[int, Fraction] = {}
-    for (e,), c in poly.terms.items():
-        coeffs[e] = c
-    degree = max(coeffs, default=0)
-    return HilbertPolynomial([coeffs.get(i, Fraction(0)) for i in range(degree + 1)])
+    """The inverse of ``format_hilbert_polynomial``."""
+    poly = parse_polynomial(text, ("n",))
+    return HilbertPolynomial([poly.coefficient((i,)) for i in range(poly.degree() + 1)])
 
 
-def format_ideal(I: Ideal | IdealDocument, variables: Optional[Sequence[str]] = None) -> str:
-    if isinstance(I, IdealDocument):
-        gens, variables = I.generators, I.variables
-    else:
-        gens = I.gens
-        if variables is None:
-            variables = RING_VARS if I.nvars == NVARS else FAMILY_VARS[: I.nvars]
-    return ";\n".join(format_polynomial(g, variables) for g in gens)
+def format_ideal(I: Ideal) -> str:
+    return ";\n".join(format_polynomial(g) for g in I.gens)

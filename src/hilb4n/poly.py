@@ -138,17 +138,18 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder = DEGREVLEX) -> Fraction:
         return self.terms[self.leading_monomial(order)]
 
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        lc = self.leading_coefficient(order)
+        lc = self.leading_coefficient()
         return Polynomial({e: c / lc for e, c in self.terms.items()}, self.nvars)
 
     def coefficient(self, e: Exponent) -> Fraction:
         return self.terms.get(tuple(e), Fraction(0))
 
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> List[Tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
+        """The terms, greatest first in degrevlex."""
+        return sorted(self.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -192,11 +193,8 @@ class Polynomial:
             return Polynomial.zero(self.nvars)
         return Polynomial({e: cf * c for e, cf in self.terms.items()}, self.nvars)
 
-    def mul_monomial(self, e: Exponent, coeff=1) -> "Polynomial":
-        coeff = Fraction(coeff)
-        return Polynomial(
-            {monomial_mul(m, e): c * coeff for m, c in self.terms.items()}, self.nvars
-        )
+    def mul_monomial(self, e: Exponent) -> "Polynomial":
+        return Polynomial({monomial_mul(m, e): c for m, c in self.terms.items()}, self.nvars)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -414,15 +412,6 @@ class LinearChange:
             raise ValueError("polynomial and change act on different rings")
         return p.substitute(self.images())
 
-    def compose(self, other: "LinearChange") -> "LinearChange":
-        """Change acting as: first ``other``, then ``self``."""
-        n = self.nvars
-        prod = [
-            [sum(other.matrix[i][k] * self.matrix[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        return LinearChange(prod)
-
     def inverse(self) -> "LinearChange":
         n = self.nvars
         # the reduced echelon form of [M | I] is [I | M^-1]
@@ -431,8 +420,3 @@ class LinearChange:
 
     def __repr__(self):
         return f"LinearChange({[list(map(str, row)) for row in self.matrix]})"
-
-
-def apply_change(p: Polynomial, g: LinearChange) -> Polynomial:
-    """Image of p under the coordinate substitution g; preserves degree."""
-    return g.apply(p)

@@ -61,6 +61,15 @@ def test_sat(tmp_path, capsys):
     assert main(["sat", "--ideal", str(path), "--by", "t"]) == 0
 
 
+def test_sat_prints_minimal_generators(tmp_path, capsys):
+    path = tmp_path / "pencil.ideal"
+    path.write_text("x*t - y*z; x^2*z + 2*x*y*z + y^2*z\n")
+    assert main(["sat", "--ideal", str(path), "--by", "x^2+2*x*y+y^2"]) == 0
+    assert capsys.readouterr().out == "z;\nx*t\n"
+    assert main(["sat", "--ideal", str(path), "--by", "x^2+2*x*y+y^2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"generators": ["z", "x*t"]}
+
+
 def test_tangent(b3_file, capsys):
     assert main(["tangent", "--ideal", b3_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -64,7 +64,7 @@ def test_specialize_degenerate_rejected():
 
 
 def test_constant_family_limit(catalog):
-    fam = ParamFamily.constant(catalog["B3"].ideal)
+    fam = ParamFamily(tuple(g.extend() for g in catalog["B3"].ideal.gens), "constant family")
     assert equal(family_limit(fam, 0), catalog["B3"].ideal)
     assert equal(family_limit(fam, "inf"), catalog["B3"].ideal)
 

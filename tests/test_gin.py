@@ -1,9 +1,11 @@
 import pytest
 
+from hilb4n import gin
+from hilb4n.borel import is_strongly_stable
 from hilb4n.gin import generic_initial_ideal, is_saturated
-from hilb4n.hilbert import hilbert_function
-from hilb4n.ideals import Ideal, equal
-from hilb4n.poly import LinearChange, apply_change, random_form, variables
+from hilb4n.hilbert import hilbert_function, regularity
+from hilb4n.ideals import Ideal, equal, monomial_ideal
+from hilb4n.poly import LinearChange, random_form, variables
 from hilb4n.strata import gcd_forms, sample_stratum
 
 x, y, z, t = variables()
@@ -46,13 +48,39 @@ def test_gin_preserves_hilbert_function(rng):
         assert hilbert_function(result.gin, n) == hilbert_function(I, n)
 
 
+@pytest.mark.parametrize("gens", [(x, y**2, z**3), (x**2, y**2, z**4)])
+def test_gin_of_a_monomial_complete_intersection(gens, rng):
+    # in(I) = I is coprime, its gin is not, and their series numerators
+    # have a cancelled term (T^3, T^4) that must not tell them apart
+    I = Ideal(list(gens))
+    result = generic_initial_ideal(I, rng)
+    assert is_strongly_stable(result.gin)
+    for n in range(12):
+        assert hilbert_function(result.gin, n) == hilbert_function(I, n)
+
+
 def test_gin_coordinate_invariance(rng):
     I = _random_ci(rng)
     base = generic_initial_ideal(I, rng).gin
     for _ in range(5):
         g = LinearChange.random(rng, bound=6)
-        moved = Ideal([apply_change(p, g) for p in I.gens])
+        moved = Ideal([g.apply(p) for p in I.gens])
         assert equal(generic_initial_ideal(moved, rng).gin, base)
+
+
+def test_gin_rejects_a_candidate_with_the_wrong_hilbert_series(monkeypatch, rng):
+    I = _random_ci(rng)
+    # strongly stable, top degree reg(I) = 3, but x*z puts one form too many in degree 2
+    wrong = ((2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 3, 0, 0))
+    M = monomial_ideal(wrong, 4)
+    assert is_strongly_stable(M) and max(map(sum, wrong)) == regularity(I)
+    assert hilbert_function(M, 2) != hilbert_function(I, 2)
+    draws = []
+    monkeypatch.setattr(gin, "_draw", lambda I, rng, bound: draws.append(bound) or wrong)
+    with pytest.raises(ArithmeticError, match="did not stabilize"):
+        generic_initial_ideal(I, rng)
+    # two agreeing draws per round, and every round escalates
+    assert draws == [10 << (k // 2) for k in range(2 * gin._MAX_ESCALATIONS)]
 
 
 def test_gin_zero_rejected():

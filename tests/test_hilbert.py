@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hilb4n.hilbert import (
-    HilbertFunction,
     HilbertPolynomial,
     ambient_hilbert_polynomial,
+    gotzmann_decomposition,
     gotzmann_number,
     hilbert_function,
     hilbert_polynomial,
@@ -112,7 +112,7 @@ def test_hilbert_polynomial_matches_enumeration_past_the_series_cutoff(ideal):
     # the Hilbert function equals the polynomial from max deg(numerator) - nvars + 1 on
     nvars, gens = ideal
     hp = hilbert_polynomial(monomial_ideal(gens, nvars))
-    cutoff = max(0, max(_series_numerator(tuple(gens), nvars)) - nvars + 1)
+    cutoff = max(0, max(_series_numerator(tuple(gens), nvars), default=0) - nvars + 1)
     for n in range(cutoff, cutoff + 5):
         ideal_dim = count_monomials(n, nvars) - reference_standard_monomial_count(gens, n, nvars)
         assert hp(n) == ideal_dim
@@ -222,9 +222,9 @@ def test_gotzmann_examples():
 def test_gotzmann_decomposition_identity():
     # the decomposition really sums back to the polynomial
     for p in (FOUR_N, HilbertPolynomial([1, 3]), HilbertPolynomial([2]), HilbertPolynomial([1, 1])):
-        exps = p.gotzmann_decomposition()
+        exps = gotzmann_decomposition(p)
         assert exps == sorted(exps, reverse=True)
-        total = HilbertPolynomial.zero()
+        total = HilbertPolynomial([])
         for i, a in enumerate(exps, start=1):
             total = total + HilbertPolynomial.binomial(a - i + 1, a)
         assert total == p
@@ -233,7 +233,7 @@ def test_gotzmann_decomposition_identity():
 def test_gotzmann_hand_check_3n_plus_1():
     # (n+1) + n + (n-1) + 1
     p = HilbertPolynomial([1, 3])
-    assert p.gotzmann_decomposition() == [1, 1, 1, 0]
+    assert gotzmann_decomposition(p) == [1, 1, 1, 0]
 
 
 def test_gotzmann_invalid():
@@ -246,12 +246,6 @@ def test_gotzmann_invalid():
 def test_lex_segment_bounds():
     with pytest.raises(ValueError):
         lex_segment(100, 1, 3)
-
-
-def test_hilbert_function_table_class(catalog):
-    table = HilbertFunction.of_ideal(catalog["B3"].ideal, 7)
-    assert table.values(7) == PHI3
-    assert table[4] == 19
 
 
 def test_hilbert_polynomial_repr_uses_the_parser_format():

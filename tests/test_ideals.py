@@ -49,14 +49,14 @@ def test_initial_ideal_of_generic_ci_is_b3(catalog, rng):
 
     # forced: a generic-coordinates complete intersection of two quadrics has
     # the regularity-3 catalog ideal as initial ideal
-    from hilb4n.poly import LinearChange, apply_change
+    from hilb4n.poly import LinearChange
 
     while True:
         f, g = random_form(rng, 2), random_form(rng, 2)
         if gcd_forms(f, g).homogeneous_degree() == 0:
             break
     change = LinearChange.random(rng)
-    moved = Ideal([apply_change(f, change), apply_change(g, change)])
+    moved = Ideal([change.apply(f), change.apply(g)])
     assert equal(initial_ideal(moved), catalog["B3"].ideal)
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilb4n.hilbert import HilbertPolynomial
 from hilb4n.ideals import equal
@@ -43,8 +43,6 @@ def test_newline_separator():
 def test_inhomogeneous_rejected():
     with pytest.raises(ParseError, match="inhomogeneous"):
         parse_ideal("x + y^2")
-    doc = parse_ideal("x + y^2", allow_inhomogeneous=True)
-    assert len(doc.generators) == 1
 
 
 def test_unknown_variable_with_position():
@@ -90,6 +88,16 @@ def test_parse_hilbert_polynomial():
     assert format_hilbert_polynomial(HilbertPolynomial([0, 4])) == "4*n"
     roundtrip = parse_hilbert_polynomial(format_hilbert_polynomial(HilbertPolynomial([1, -2, 3])))
     assert roundtrip == HilbertPolynomial([1, -2, 3])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(max_denominator=40), max_size=5))
+@example([])
+@example([0, 0, 0])
+@example([Fraction(1, 3), 0, Fraction(-7, 2)])
+def test_printed_hilbert_polynomial_parses_back(coeffs):
+    p = HilbertPolynomial(coeffs)
+    assert parse_hilbert_polynomial(format_hilbert_polynomial(p)) == p
 
 
 def test_parse_family():

@@ -16,7 +16,6 @@ from hilb4n.parser import format_ideal
 from hilb4n.poly import (
     LinearChange,
     Polynomial,
-    apply_change,
     monomials_of_degree,
     random_form,
     variables,
@@ -270,7 +269,7 @@ def test_classify_is_change_invariant(rng):
     base = classify(I)
     for _ in range(5):
         g = LinearChange.random(rng, bound=6)
-        moved = Ideal([apply_change(p, g) for p in I.gens])
+        moved = Ideal([g.apply(p) for p in I.gens])
         rep = classify(moved)
         assert (rep.stratum, rep.regularity, rep.components_certain) == (
             base.stratum,

@@ -1,15 +1,19 @@
-"""The benchmark's tracer (bench/tracing.py) wraps hilb4n functions by name.
+"""The benchmark calls hilb4n by name: its tracer (bench/tracing.py) wraps
+the functions of its ``WRAPPED`` table, and its workloads (bench/workloads.py)
+read hilb4n module attributes.
 
-Every name in its ``WRAPPED`` table must resolve in hilb4n, so deleting or
-renaming a wrapped function fails here, and not first in a traced benchmark
-run.  The table is read from the file's source; the bench code is not run.
+Every such name must resolve in hilb4n, so deleting or renaming one fails
+here, and not first in a benchmark run.  The names are read from the files'
+source; the bench code is not run.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def _wrapped():
@@ -21,6 +25,23 @@ def _wrapped():
     raise AssertionError(f"{TRACING} defines no WRAPPED table")
 
 
+def _workload_names():
+    """(module, attribute) for every name workloads.py imports from a hilb4n
+    module, and for every attribute it reads off an imported hilb4n module."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "hilb4n":
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("hilb4n."):
+            names.update((node.module[len("hilb4n."):], alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add((node.value.id, node.attr))
+    return names
+
+
 def test_every_traced_name_resolves():
     wrapped = _wrapped()
     assert wrapped
@@ -30,3 +51,11 @@ def test_every_traced_name_resolves():
             assert hasattr(obj, part), f"{module}.{attribute}"
             obj = getattr(obj, part)
         assert callable(obj), f"{module}.{attribute}"
+
+
+def test_every_name_the_workloads_read_resolves():
+    names = _workload_names()
+    assert {("strata", "sample_stratum_with_shape"), ("strata", "PHI"), ("gin", "is_saturated"),
+            ("parser", "parse_ideal")} <= names
+    for module, attribute in sorted(names):
+        assert hasattr(importlib.import_module(f"hilb4n.{module}"), attribute), f"{module}.{attribute}"
