@@ -19,6 +19,7 @@ from .hilbert import (
     gotzmann_number,
     hilbert_function,
     hilbert_polynomial,
+    macaulay_bound,
     macaulay_min_growth,
     quotient_hilbert_polynomial,
     regularity,

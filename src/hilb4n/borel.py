@@ -8,11 +8,13 @@ polynomial 4n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .hilbert import HilbertPolynomial, _quotient_hp_from_series, gotzmann_number, hilbert_function
+from .hilbert import macaulay_bound
 from .ideals import Ideal, graded_monomial_basis, monomial_ideal, saturate_irrelevant
 from .orders import DEGREVLEX, Exponent
 from .poly import NVARS, Polynomial, count_monomials, monomial_divides, monomials_of_degree
@@ -85,10 +87,10 @@ def _borel_order(degree: int, nvars: int):
     return monos, ups, products
 
 
-def _borel_upsets(degree: int, nvars: int, forced: Set[int], max_excluded: int, exact: bool):
+def _borel_upsets(degree: int, nvars: int, forced: Set[int], min_excluded: int, max_excluded: int):
     """The Borel-closed sets of degree-d monomials (as ``_borel_order``
-    indices) containing ``forced`` whose complement has at most (exactly,
-    when ``exact``) ``max_excluded`` elements.
+    indices) containing ``forced`` whose complement has between
+    ``min_excluded`` and ``max_excluded`` elements.
 
     A monomial may be included only when all its Borel moves, which come
     before it in the order, already are."""
@@ -98,10 +100,10 @@ def _borel_upsets(degree: int, nvars: int, forced: Set[int], max_excluded: int, 
     results: List[List[int]] = []
 
     def descend(idx: int, excluded: int):
+        if size - idx < min_excluded - excluded:
+            return
         if idx == size:
             results.append([i for i in range(size) if chosen[i]])
-            return
-        if exact and size - idx < max_excluded - excluded:
             return
         if all(map(chosen.__getitem__, ups[idx])):
             chosen[idx] = True
@@ -112,6 +114,18 @@ def _borel_upsets(degree: int, nvars: int, forced: Set[int], max_excluded: int, 
 
     descend(0, 0)
     return results
+
+
+@lru_cache(maxsize=None)
+def _macaulay_reach(h: int, degree: int, rho: int) -> Tuple[int, int]:
+    """For a quotient Hilbert function with value h in ``degree`` >= 1, by
+    Macaulay's bound iterated: its largest sum over degrees ``degree``..rho
+    and its largest value in degree rho + 1."""
+    grown = macaulay_bound(h, degree)
+    if degree == rho:
+        return h, grown
+    total, top = _macaulay_reach(grown, degree + 1, rho)
+    return h + total, top
 
 
 def enumerate_borel_ideals(p: HilbertPolynomial, nvars: int = NVARS) -> List[Ideal]:
@@ -127,6 +141,12 @@ def enumerate_borel_ideals(p: HilbertPolynomial, nvars: int = NVARS) -> List[Ide
     1978), so its quotient Hilbert function equals p at rho + 1 too.  That
     count only filters: each candidate that passes it is certified by the
     Hilbert polynomial of its Hilbert series.
+
+    Before that count, a branch is cut by Macaulay's bound on the growth of
+    the quotient k[x,y,z]/J (``macaulay_bound``), which holds for every J, so
+    the cut drops no answer: in each degree d the piece must leave out enough
+    monomials that the bound, iterated, can still sum to p(rho) over degrees
+    d..rho and grow to p(rho + 1) - p(rho) in degree rho + 1.
     """
     rho = gotzmann_number(p)
     target = int(p(rho))
@@ -137,8 +157,6 @@ def enumerate_borel_ideals(p: HilbertPolynomial, nvars: int = NVARS) -> List[Ide
     found: List[List[Exponent]] = []
 
     def extend(degree: int, forced: Set[int], gens: List[Exponent], partial_sum: int):
-        if partial_sum > target:
-            return
         if degree > rho:
             if count_monomials(degree, reduced) - len(forced) != step or not gens:
                 return
@@ -148,8 +166,17 @@ def enumerate_borel_ideals(p: HilbertPolynomial, nvars: int = NVARS) -> List[Ide
             return
         monos, _, products = _borel_order(degree, reduced)
         budget = target - partial_sum
-        # in the last degree the partial sums must land exactly on p(rho)
-        for piece in _borel_upsets(degree, reduced, forced, budget, degree == rho):
+
+        def reaches(h: int) -> bool:  # monotone in h
+            total, top = _macaulay_reach(h, degree, rho)
+            return total >= budget and top >= step
+
+        # the least number left out from which degrees d..rho can still sum
+        # to p(rho) and grow to step; in degree rho it is the whole budget
+        least = bisect_left(range(budget + 1), True, key=reaches)
+        if least > budget:
+            return
+        for piece in _borel_upsets(degree, reduced, forced, least, budget):
             new = [monos[i] + (0,) for i in piece if i not in forced]
             above = {j for i in piece for j in products[i]}
             extend(degree + 1, above, gens + new, partial_sum + len(monos) - len(piece))

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .ideals import Ideal, groebner_basis, minimalize_monomials
 from .ideals import saturating_form, to_last_variable
 from .orders import Exponent
-from .poly import Polynomial, count_monomials, format_polynomial, monomials_of_degree
+from .poly import Polynomial, count_monomials, format_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +270,11 @@ def regularity(I: Ideal) -> int:
     ``_torsion_top`` and reg(S/(I^sat + v)), one variable down: the basis
     divided by powers of v and cut at v = 0.  An Artinian level contributes
     its top degree.  When v is a zerodivisor, one Buchberger moves the level
-    so that ``saturating_form``'s form is the last variable.
+    so that ``saturating_form``'s form is the last variable.  The value is
+    cached on I.
     """
+    if I._reg is not None:
+        return I._reg
     if I.is_zero():
         raise ValueError("regularity of the zero ideal is undefined")
     level, basis, nvars, top = I, I.groebner_basis(), I.nvars, -1
@@ -289,31 +292,36 @@ def regularity(I: Ideal) -> int:
             nvars -= 1
             level = Ideal(basis, nvars)
         lead = minimalize_monomials(g.leading_monomial() for g in basis)
-    return top + 1
+    I._reg = top + 1
+    return I._reg
 
 
 # ---------------------------------------------------------------------------
-# Macaulay minimal growth
+# Macaulay growth
 
-def lex_segment(size: int, degree: int, nvars: int) -> List[Exponent]:
-    monos = sorted(monomials_of_degree(degree, nvars), reverse=True)
-    if size > len(monos) or size < 0:
-        raise ValueError(f"no lex segment of size {size} in degree {degree}, {nvars} variables")
-    return monos[:size]
+def macaulay_bound(h: int, d: int) -> int:
+    """h^<d>: the largest value in degree d + 1 of the Hilbert function of a
+    standard graded algebra whose value in degree d >= 1 is h (Macaulay).
+    With h = C(k_d, d) + C(k_(d-1), d - 1) + ... + C(k_j, j), k_d > ... >
+    k_j >= j >= 1, it is C(k_d + 1, d + 1) + ... + C(k_j + 1, j + 1)."""
+    if d < 1 or h < 0:
+        raise ValueError(f"no Macaulay bound for value {h} in degree {d}")
+    out = 0
+    while h:  # degree 1 takes the rest, so d stays >= 1
+        k = d
+        while comb(k + 1, d) <= h:
+            k += 1
+        h -= comb(k, d)
+        out += comb(k + 1, d + 1)
+        d -= 1
+    return out
 
 
 def macaulay_min_growth(a: int, d: int, r: int) -> int:
     """Minimal dimension of P_1 * W over a-dimensional subspaces W of the
-    degree-d forms in r variables; attained by the lexicographic segment."""
+    degree-d forms in r variables, d >= 1: the quotient by W keeps at most
+    macaulay_bound of its codimension in degree d + 1."""
     total = count_monomials(d, r)
     if not 0 <= a <= total:
         raise ValueError(f"subspace dimension {a} out of range 0..{total}")
-    if a == 0:
-        return 0
-    segment = lex_segment(a, d, r)
-    grown = {
-        tuple(m[k] + (1 if k == i else 0) for k in range(r))
-        for m in segment
-        for i in range(r)
-    }
-    return len(grown)
+    return count_monomials(d + 1, r) - macaulay_bound(total - a, d)

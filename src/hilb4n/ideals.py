@@ -38,7 +38,7 @@ from . import groebner as _gb
 class Ideal:
     """Homogeneous ideal given by generators, with cached reduced bases."""
 
-    __slots__ = ("gens", "nvars", "_gb_cache", "_gin", "_hp", "_lead")
+    __slots__ = ("gens", "nvars", "_gb_cache", "_gin", "_hp", "_lead", "_reg")
 
     def __init__(self, gens: Iterable[Polynomial], nvars: Optional[int] = None):
         gens = [g for g in gens if g and not g.is_zero()]
@@ -57,6 +57,7 @@ class Ideal:
         self._gin = None
         self._hp = None
         self._lead = None  # minimal degrevlex leading exponents, see hilbert
+        self._reg = None  # regularity, see hilbert
 
     # -- basics ---------------------------------------------------------------
 

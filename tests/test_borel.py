@@ -1,5 +1,18 @@
-import pytest
+"""Borel-fixed ideals: the stability predicate and closure, the lex point,
+the catalog B3-B6, and the enumeration of saturated Borel-fixed ideals by
+quotient Hilbert polynomial.
 
+The enumeration is checked four ways: its counts are pinned for 18 small
+polynomials, each ideal it returns is verified, it finds the Borel closure of
+random monomials in x, y, z (each is saturated and strongly stable) under
+its own Hilbert polynomial, and the work its Macaulay cuts leave is pinned as
+a count of the pieces it lists, so losing a cut fails a test without timing
+anything."""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from hilb4n import borel
 from hilb4n.borel import (
     borel_closure,
     enumerate_borel_ideals,
@@ -22,8 +35,9 @@ from hilb4n.strata import FOUR_N
 x, y, z, t = variables()
 
 # how many saturated Borel-fixed ideals each quotient Hilbert polynomial has,
-# as the enumeration without the Gotzmann rho + 1 check finds them; all have
-# Gotzmann number at most 7, so the whole table enumerates in about a second
+# as the enumeration without the Gotzmann rho + 1 check and without the
+# Macaulay cuts finds them; all have Gotzmann number at most 7, so the whole
+# table enumerates in a fraction of a second
 PINNED_COUNTS = {
     "1": 1, "2": 1, "3": 2, "n+1": 1, "n+2": 1, "2*n+1": 1, "2*n+2": 2, "2*n+3": 3,
     "3*n": 1, "3*n+1": 3, "3*n+2": 4, "3*n+3": 8, "4*n-2": 1, "4*n-1": 2, "4*n": 4,
@@ -110,6 +124,51 @@ def test_pinned_enumerations_meet_p_at_rho_and_rho_plus_one(pinned):
         rho = gotzmann_number(p)
         for I in found:
             assert [quotient_hilbert_function(I, n) for n in (rho, rho + 1)] == [p(rho), p(rho + 1)]
+
+
+# degree pieces ``_borel_upsets`` lists for the whole search: 1,583 and 6,467
+# without the Macaulay cuts
+PINNED_PIECES = {"4*n": 188, "4*n+1": 579}
+
+
+def test_enumeration_work_is_pinned(monkeypatch):
+    pieces = []
+    upsets = borel._borel_upsets
+
+    def counted(*args):
+        out = upsets(*args)
+        pieces.append(len(out))
+        return out
+
+    monkeypatch.setattr(borel, "_borel_upsets", counted)
+    listed = {}
+    for text in PINNED_PIECES:
+        pieces.clear()
+        enumerate_borel_ideals(parse_hilbert_polynomial(text))
+        listed[text] = sum(pieces)
+    assert listed == PINNED_PIECES
+
+
+_t_free_monomial = st.integers(1, 5).flatmap(
+    lambda d: st.sampled_from(sorted(m + (0,) for m in monomials_of_degree(d, 3))))
+
+
+@pytest.fixture(scope="module")
+def enumerated():
+    """Hilbert polynomial -> generator sets of its enumeration, filled as drawn."""
+    return {}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(monomials=st.lists(_t_free_monomial, min_size=1, max_size=4))
+def test_enumeration_finds_every_borel_closure(enumerated, monomials):
+    # the closure is strongly stable, and saturated since no generator has t
+    J = borel_closure(monomials)
+    p = quotient_hilbert_polynomial(J)
+    assume(gotzmann_number(p) <= 7)
+    if p not in enumerated:
+        enumerated[p] = {frozenset(I.monomial_generators()) for I in enumerate_borel_ideals(p)}
+    assert frozenset(J.monomial_generators()) in enumerated[p]
 
 
 def test_enumeration_small_polynomials():

@@ -11,7 +11,7 @@ from hilb4n.hilbert import (
     gotzmann_number,
     hilbert_function,
     hilbert_polynomial,
-    lex_segment,
+    macaulay_bound,
     macaulay_min_growth,
     quotient_hilbert_function,
     quotient_hilbert_polynomial,
@@ -179,6 +179,29 @@ def test_macaulay_monotone():
     assert values == sorted(values)
 
 
+def test_macaulay_min_growth_is_the_lex_segment_growth():
+    # Macaulay: the lex segment of each size grows least; its growth is read
+    # here off the segment itself, for every size, r <= 4 and 1 <= d <= 5
+    for r in range(1, 5):
+        for d in range(1, 6):
+            monos = sorted(monomials_of_degree(d, r), reverse=True)
+            for a in range(len(monos) + 1):
+                grown = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in monos[:a] for i in range(r)}
+                assert macaulay_min_growth(a, d, r) == len(grown), (a, d, r)
+
+
+def test_macaulay_bound_examples():
+    # 5 = C(3, 2) + C(2, 1), so 5^<2> = C(4, 3) + C(3, 2) = 7
+    assert macaulay_bound(5, 2) == 7
+    assert macaulay_bound(0, 3) == 0
+    assert macaulay_bound(1, 4) == 1
+    assert macaulay_bound(count_monomials(3, 4), 3) == count_monomials(4, 4)
+    with pytest.raises(ValueError):
+        macaulay_bound(1, 0)
+    with pytest.raises(ValueError):
+        macaulay_bound(-1, 2)
+
+
 def test_macaulay_bruteforce_oracle(rng):
     # exhaustive minimum over monomial subspaces equals the lex value, and no
     # random rational subspace ever does better
@@ -241,11 +264,6 @@ def test_gotzmann_invalid():
         gotzmann_number(HilbertPolynomial([0, -1]))
     with pytest.raises(ValueError):
         gotzmann_number(HilbertPolynomial([0, 2]))
-
-
-def test_lex_segment_bounds():
-    with pytest.raises(ValueError):
-        lex_segment(100, 1, 3)
 
 
 def test_hilbert_polynomial_repr_uses_the_parser_format():
